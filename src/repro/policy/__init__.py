@@ -20,7 +20,6 @@ inspected in one place, and extended by subclassing
 from repro.policy.base import (
     DECOMPOSITION_FLAVORS,
     CorrectionDecision,
-    ReuseDecision,
     ReusePolicy,
 )
 from repro.policy.corrected import CorrectedPolicy
@@ -30,7 +29,6 @@ from repro.policy.qc import QCPolicy
 __all__ = [
     "DECOMPOSITION_FLAVORS",
     "CorrectionDecision",
-    "ReuseDecision",
     "ReusePolicy",
     "ExactPolicy",
     "QCPolicy",

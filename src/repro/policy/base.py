@@ -13,12 +13,11 @@ this library:
   estimated answer deviation stays within the bound.
 
 A :class:`ReusePolicy` makes that trade inspectable and swappable instead of
-a flag buried inside one algorithm.  It owns the three ingredients:
-snapshot-similarity scoring (:func:`repro.core.similarity.
-snapshot_similarity`), the quality-loss estimate
-(:func:`repro.core.quality.reuse_loss_bound` online, Definition 4 via
-:class:`~repro.core.quality.MarkowitzReference` offline) and the
-accept/reject decision combining them.  :class:`~repro.policy.exact.
+a flag buried inside one algorithm.  It owns the accept/reject decision:
+a similarity floor over :func:`repro.core.similarity.snapshot_similarity`
+and a quality-loss ceiling over :func:`repro.core.quality.reuse_loss_bound`
+online (Definition 4 via :class:`~repro.core.quality.MarkowitzReference`
+offline).  :class:`~repro.policy.exact.
 ExactPolicy` never approximates; :class:`~repro.policy.qc.QCPolicy` applies
 the paper's α/β gates; new policies subclass :class:`ReusePolicy`.
 """
@@ -32,7 +31,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 if TYPE_CHECKING:  # imported lazily at runtime to keep the package cycle-free
     from repro.core.clustering import MatrixCluster
     from repro.core.quality import MarkowitzReference
-    from repro.graphs.delta import GraphDelta
     from repro.graphs.matrixkind import MatrixKind
     from repro.graphs.snapshot import GraphSnapshot
     from repro.sparse.csr import SparseMatrix
@@ -42,36 +40,8 @@ DECOMPOSITION_FLAVORS = ("CINC", "CLUDE")
 
 
 @dataclasses.dataclass(frozen=True)
-class ReuseDecision:
-    """A policy's verdict that one cached system may answer for another.
-
-    Attributes
-    ----------
-    similarity:
-        The snapshot similarity score the candidate passed (``mes``-style,
-        in ``[0, 1]``; ``1.0`` means content-identical snapshots).
-    loss_estimate:
-        The policy's estimate of the quality loss the caller accepts by
-        reusing — for :class:`~repro.policy.qc.QCPolicy` the certified bound
-        on the relative L1 deviation of the raw answer
-        (:func:`~repro.core.quality.reuse_loss_bound`).  Always within the
-        policy's declared bound, by construction of the gate.
-    """
-
-    similarity: float
-    loss_estimate: float
-
-    def preferable_to(self, other: "ReuseDecision") -> bool:
-        """Deterministic candidate ranking: higher similarity, then lower loss."""
-        return (self.similarity, -self.loss_estimate) > (
-            other.similarity,
-            -other.loss_estimate,
-        )
-
-
-@dataclasses.dataclass(frozen=True)
 class CorrectionDecision:
-    """A policy's verdict that a rank-``k`` corrected answer is admissible.
+    """A policy's verdict that a cached system may answer, after ``k`` columns.
 
     Produced by :meth:`ReusePolicy.correct` for a concrete system delta
     ``ΔA`` between a cached parent system and the miss's system.  The planner
@@ -95,7 +65,8 @@ class CorrectionDecision:
         quality bought by the rank-``k`` work.
     rank:
         Number of delta columns applied exactly (``k``); ``0`` means the
-        parent's answer already clears the bound verbatim.
+        parent's answer already clears the bound verbatim, and then
+        ``loss_estimate == uncorrected_estimate``.
     columns:
         The applied column indices, in application order (dominant first).
     """
@@ -121,14 +92,20 @@ class ReusePolicy(abc.ABC):
 
     Two consumer surfaces share one policy object:
 
-    * :meth:`evaluate_reuse` — the **serving** gate.  The query planner calls
-      it for every cached candidate system when a miss group's snapshot has
-      no factors of its own; a non-``None`` :class:`ReuseDecision` licenses
-      answering from the candidate's factors and carries the audit fields
-      recorded in the batch result.
+    * :meth:`correct` — the **serving** gate.  The query planner scores every
+      cached candidate system of a miss group once: it builds the system
+      delta ``ΔA`` and asks :meth:`correct` for the cheapest admissible
+      correction rank.  A rank-0 :class:`CorrectionDecision` licenses
+      answering verbatim from the candidate's factors; rank ``k <=``
+      :attr:`max_rank` licenses a Sherman–Morrison–Woodbury corrected
+      answer.  The decision carries the audit fields recorded in the batch
+      result.
     * :meth:`decomposition_clusters` — the **offline** gate.  The LUDEM-QC
       drivers (:mod:`repro.core.qc`) delegate their β-clustering step here,
       so the same policy object states the quality contract for both paths.
+
+    The defaults approximate nothing: no kind is certified and every
+    correction is rejected.
     """
 
     @property
@@ -145,42 +122,40 @@ class ReusePolicy(abc.ABC):
         an exact-policy planner is bitwise-identical to a policy-less one.
         """
 
+    @property
+    def alpha(self) -> float:
+        """Similarity floor of :meth:`correct` (``0.0``: no floor).
+
+        The planner builds no ``ΔA`` for a candidate scoring below it.
+        """
+        return 0.0
+
+    @property
+    def max_rank(self) -> int:
+        """Highest correction rank :meth:`correct` may return.
+
+        ``0`` admits verbatim reuse only; the planner's corrected-reuse tier
+        (rank-``k`` and cross-damping answers) runs only when it is positive.
+        """
+        return 0
+
+    @staticmethod
+    def certifies_kind(kind: "MatrixKind") -> bool:
+        """Whether :meth:`correct`'s bound is certified for matrix ``kind``.
+
+        The planner never scores candidates of an uncertified kind.
+        """
+        return False
+
     def prefilter(self, parent: "GraphSnapshot", child: "GraphSnapshot") -> bool:
         """Cheap O(1) pre-gate run before any delta is built for a candidate.
 
-        Return ``False`` only when :meth:`evaluate_reuse` would *provably*
-        reject the pair, using nothing more expensive than counts — the
-        planner then skips the O(|E|) delta construction for that candidate.
-        The default accepts everything (no information, no rejection).
+        Return ``False`` only when the pair provably misses :attr:`alpha`,
+        using nothing more expensive than counts — the planner then skips
+        the O(|E|) delta construction for that candidate.  The default
+        accepts everything (no information, no rejection).
         """
         return True
-
-    @abc.abstractmethod
-    def evaluate_reuse(
-        self,
-        parent: "GraphSnapshot",
-        child: "GraphSnapshot",
-        *,
-        kind: "MatrixKind",
-        damping: float,
-        delta: Optional["GraphDelta"] = None,
-    ) -> Optional[ReuseDecision]:
-        """Gate answering ``child``'s queries from ``parent``'s cached factors.
-
-        Returns a :class:`ReuseDecision` when the policy accepts the
-        substitution, ``None`` when it rejects.  ``delta`` is the
-        already-computed :class:`~repro.graphs.delta.GraphDelta` between the
-        snapshots, when the caller has it (the planner computes one per
-        candidate anyway for the fast similarity path).
-        """
-
-    @property
-    def supports_correction(self) -> bool:
-        """``True`` when :meth:`correct` can license rank-``k`` corrected
-        answers.  The planner skips its corrected-reuse scan entirely when
-        this is ``False`` (the default), so existing policies are unaffected.
-        """
-        return False
 
     def correct(
         self,
@@ -189,16 +164,16 @@ class ReusePolicy(abc.ABC):
         amplifier_damping: float,
         similarity: float,
     ) -> Optional["CorrectionDecision"]:
-        """Gate a rank-``k`` SMW-corrected answer for a concrete delta.
+        """Gate answering from a cached system whose delta to the miss is known.
 
         ``entries`` is the sparse system delta ``ΔA = A_child - A_parent``
         (:func:`~repro.graphs.matrixkind.system_delta` /
         :func:`~repro.graphs.matrixkind.damping_delta` output) and
         ``amplifier_damping`` the value to feed the bound machinery (``0.0``
         for Laplacian systems, the damping factor otherwise — the caller owns
-        that per-kind mapping, as it does for verbatim reuse).  Returns a
-        :class:`CorrectionDecision` naming the columns to apply, or ``None``
-        to reject.  The default implementation rejects everything.
+        that per-kind mapping).  Returns a :class:`CorrectionDecision` naming
+        the columns to apply (none for verbatim reuse), or ``None`` to
+        reject.  The default implementation rejects everything.
         """
         return None
 

@@ -24,44 +24,26 @@ term ``(ΔA e_j) e_jᵀ``), and picks the smallest ``k`` whose residual bound
 clears ``loss_bound``.  With columns sorted by descending mass, the residual
 bound after ``k`` columns is the ``(k+1)``-th largest mass over ``(1 - d)``
 — monotonically non-increasing in ``k`` by construction.
+
+The gate itself is :meth:`QCPolicy.correct <repro.policy.qc.QCPolicy.
+correct>`; this policy only raises its rank ceiling above zero.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.policy.base import CorrectionDecision
 from repro.policy.qc import QCPolicy
-
-
-def ranked_update_columns(
-    entries: Dict[Tuple[int, int], float],
-) -> List[Tuple[int, float]]:
-    """Rank the columns of a sparse delta by descending L1 mass.
-
-    Returns ``[(column, mass), ...]`` with ``mass = Σ_i |ΔA[i, column]|``,
-    sorted by descending mass (ties broken by ascending column index, so the
-    ranking — and therefore every planner decision built on it — is
-    deterministic).  The per-column accumulation order matches
-    :func:`~repro.core.quality.reuse_loss_bound`, so the masses here and the
-    bounds there are float-identical, not merely close.
-    """
-    masses: Dict[int, float] = {}
-    for (_, column), value in entries.items():
-        masses[column] = masses.get(column, 0.0) + abs(value)
-    return sorted(masses.items(), key=lambda item: (-item[1], item[0]))
 
 
 class CorrectedPolicy(QCPolicy):
     """QC reuse plus rank-``k`` SMW correction and cross-damping sharing.
 
-    A strict extension of :class:`~repro.policy.qc.QCPolicy`: the verbatim
-    gates (``alpha`` similarity floor, ``loss_bound`` ceiling,
-    :meth:`~repro.policy.qc.QCPolicy.certifies_kind`) are inherited
-    unchanged, so wherever plain QC reuse succeeds this policy behaves
-    identically.  Where verbatim reuse *fails* the bound, :meth:`correct`
-    looks for the smallest rank ``k <= max_rank`` whose residual bound
-    clears it.
+    A strict extension of :class:`~repro.policy.qc.QCPolicy`: the same gate
+    (``alpha`` similarity floor, ``loss_bound`` ceiling,
+    :meth:`~repro.policy.qc.QCPolicy.certifies_kind`) with a rank ceiling
+    of ``max_rank`` instead of 0, so wherever plain QC reuse succeeds this
+    policy behaves identically.  Where verbatim reuse *fails* the bound,
+    :meth:`~repro.policy.qc.QCPolicy.correct` looks for the smallest rank
+    ``k <= max_rank`` whose residual bound clears it.
 
     Parameters
     ----------
@@ -72,11 +54,11 @@ class CorrectedPolicy(QCPolicy):
         corrected answer, exactly as it is applied to the full bound of a
         verbatim one.
     max_rank:
-        Correction-rank ceiling (``>= 1``).  Each unit of rank costs one
-        extra triangular sweep at corrector-build time and one row of the
-        ``k×k`` capacitance solve per batch — keep it small (the default 8
-        covers a handful of dominant churned columns; past ~32 the setup
-        sweeps start rivalling a Bennett refresh).
+        Correction-rank ceiling (a positive ``int``).  Each unit of rank
+        costs one extra triangular sweep at corrector-build time and one row
+        of the ``k×k`` capacitance solve per batch — keep it small (the
+        default 8 covers a handful of dominant churned columns; past ~32 the
+        setup sweeps start rivalling a Bennett refresh).
     """
 
     def __init__(
@@ -85,7 +67,8 @@ class CorrectedPolicy(QCPolicy):
         from repro.errors import ClusteringError
 
         super().__init__(alpha=alpha, loss_bound=loss_bound)
-        if not isinstance(max_rank, int) or max_rank < 1:
+        # bool is an int subclass: True would silently mean rank 1.
+        if isinstance(max_rank, bool) or not isinstance(max_rank, int) or max_rank < 1:
             raise ClusteringError(
                 f"max_rank must be a positive integer, got {max_rank!r}"
             )
@@ -94,65 +77,6 @@ class CorrectedPolicy(QCPolicy):
     @property
     def name(self) -> str:
         return "corrected"
-
-    @property
-    def max_rank(self) -> int:
-        """The correction-rank ceiling."""
-        return self._max_rank
-
-    @property
-    def supports_correction(self) -> bool:
-        return True
-
-    def correct(
-        self,
-        entries: Dict[Tuple[int, int], float],
-        *,
-        amplifier_damping: float,
-        similarity: float,
-    ) -> Optional[CorrectionDecision]:
-        """Pick the smallest rank whose residual bound clears ``loss_bound``.
-
-        ``entries`` is the system delta ``ΔA`` and ``amplifier_damping`` the
-        value the caller certifies for the kind (``0.0`` for Laplacian).  The
-        residual bound after applying the ``k`` heaviest columns is the
-        ``(k+1)``-th largest column mass over ``(1 - d)`` (``0.0`` once every
-        column is applied), so the search is a single pass over the ranked
-        masses.  Returns ``None`` when the pair misses the similarity floor
-        or no rank ``<= max_rank`` suffices — the planner then falls through
-        to refresh / cold factorization.
-        """
-        from repro.core.quality import reuse_loss_bound
-        from repro.errors import MeasureError
-
-        if not 0.0 <= amplifier_damping < 1.0:
-            raise MeasureError(
-                "damping factor must lie in [0, 1) for the residual bound, "
-                f"got {amplifier_damping}"
-            )
-        if similarity < self.alpha:
-            return None
-        uncorrected = reuse_loss_bound(entries, amplifier_damping)
-        ranked = ranked_update_columns(entries)
-        limit = min(self._max_rank, len(ranked))
-        for rank in range(limit + 1):
-            # Residual after applying the `rank` heaviest columns; dividing
-            # (not multiplying by a precomputed reciprocal) keeps the value
-            # float-identical to residual_loss_bound on the same delta.
-            residual = (
-                ranked[rank][1] / (1.0 - amplifier_damping)
-                if rank < len(ranked)
-                else 0.0
-            )
-            if residual <= self.loss_bound:
-                return CorrectionDecision(
-                    similarity=similarity,
-                    loss_estimate=residual,
-                    uncorrected_estimate=uncorrected,
-                    rank=rank,
-                    columns=tuple(column for column, _ in ranked[:rank]),
-                )
-        return None
 
     def __repr__(self) -> str:
         return (

@@ -4,21 +4,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.policy.base import ReuseDecision, ReusePolicy, _beta_clusters
+from repro.policy.base import ReusePolicy, _beta_clusters
 
 if TYPE_CHECKING:
     from repro.core.clustering import MatrixCluster
     from repro.core.quality import MarkowitzReference
-    from repro.graphs.delta import GraphDelta
-    from repro.graphs.matrixkind import MatrixKind
-    from repro.graphs.snapshot import GraphSnapshot
     from repro.sparse.csr import SparseMatrix
 
 
 class ExactPolicy(ReusePolicy):
     """Zero tolerated quality loss — the planner's default contract.
 
-    Serving: :meth:`evaluate_reuse` rejects every candidate, so a query is
+    Serving: the planner skips both reuse tiers for an exact policy (and the
+    inherited :meth:`correct` rejects everything anyway), so a query is
     only ever answered from factors of its *own* system matrix (cache hit,
     delta refresh where explicitly opted into, or cold factorization) and the
     planner's output stays bitwise-identical to the policy-less planner.
@@ -36,17 +34,6 @@ class ExactPolicy(ReusePolicy):
     @property
     def is_exact(self) -> bool:
         return True
-
-    def evaluate_reuse(
-        self,
-        parent: "GraphSnapshot",
-        child: "GraphSnapshot",
-        *,
-        kind: "MatrixKind",
-        damping: float,
-        delta: Optional["GraphDelta"] = None,
-    ) -> Optional[ReuseDecision]:
-        return None
 
     def decomposition_clusters(
         self,

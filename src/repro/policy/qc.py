@@ -14,22 +14,42 @@
 The two gates are deliberately evaluated in that order: similarity costs
 O(|Δ|) given the graph delta, while the loss estimate needs the system-level
 entry delta (:func:`~repro.graphs.matrixkind.system_delta`) — still cheap,
-but not free, so dissimilar candidates are discarded before it is built.
+but not free, so the planner discards dissimilar candidates before building
+it.  The loss gate is :meth:`QCPolicy.correct` with a rank ceiling of 0: a
+rank-0 decision's estimate is the verbatim bound itself.
+:class:`~repro.policy.corrected.CorrectedPolicy` raises the ceiling.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.policy.base import ReuseDecision, ReusePolicy, _beta_clusters
+from repro.policy.base import CorrectionDecision, ReusePolicy, _beta_clusters
 
 if TYPE_CHECKING:
     from repro.core.clustering import MatrixCluster
     from repro.core.quality import MarkowitzReference
-    from repro.graphs.delta import GraphDelta
     from repro.graphs.matrixkind import MatrixKind
     from repro.graphs.snapshot import GraphSnapshot
     from repro.sparse.csr import SparseMatrix
+
+
+def ranked_update_columns(
+    entries: Dict[Tuple[int, int], float],
+) -> List[Tuple[int, float]]:
+    """Rank the columns of a sparse delta by descending L1 mass.
+
+    Returns ``[(column, mass), ...]`` with ``mass = Σ_i |ΔA[i, column]|``,
+    sorted by descending mass (ties broken by ascending column index, so the
+    ranking — and therefore every planner decision built on it — is
+    deterministic).  The per-column accumulation order matches
+    :func:`~repro.core.quality.reuse_loss_bound`, so the masses here and the
+    bounds there are float-identical, not merely close.
+    """
+    masses: Dict[int, float] = {}
+    for (_, column), value in entries.items():
+        masses[column] = masses.get(column, 0.0) + abs(value)
+    return sorted(masses.items(), key=lambda item: (-item[1], item[0]))
 
 
 class QCPolicy(ReusePolicy):
@@ -43,17 +63,20 @@ class QCPolicy(ReusePolicy):
         to the loss gate; ``1.0`` only content-identical snapshots.
     loss_bound:
         Non-negative quality-loss ceiling (the paper's β).  Serving-side it
-        caps the reported :attr:`~repro.policy.base.ReuseDecision.
+        caps the reported :attr:`~repro.policy.base.CorrectionDecision.
         loss_estimate`, so every approximate answer a planner emits under
         this policy carries an estimate ``<= loss_bound`` by construction.
     """
+
+    #: Correction-rank ceiling: plain QC reuse is verbatim (rank 0) only.
+    _max_rank = 0
 
     def __init__(self, alpha: float = 0.95, loss_bound: float = 0.1) -> None:
         from repro.errors import ClusteringError
 
         if not 0.0 <= alpha <= 1.0:
             raise ClusteringError(f"alpha must lie in [0, 1], got {alpha}")
-        if loss_bound < 0.0:
+        if not loss_bound >= 0.0:  # also rejects NaN, which would pass any gate
             raise ClusteringError(
                 f"quality-loss bound must be non-negative, got {loss_bound}"
             )
@@ -78,20 +101,14 @@ class QCPolicy(ReusePolicy):
         """The quality-loss ceiling (β)."""
         return self._loss_bound
 
-    # ------------------------------------------------------------------ #
-    # The two scoring ingredients (inspectable on their own)
-    # ------------------------------------------------------------------ #
-    def similarity(
-        self,
-        parent: "GraphSnapshot",
-        child: "GraphSnapshot",
-        delta: Optional["GraphDelta"] = None,
-    ) -> float:
-        """Snapshot similarity score (``mes``; O(|Δ|) when ``delta`` given)."""
-        from repro.core.similarity import snapshot_similarity
+    @property
+    def max_rank(self) -> int:
+        """The correction-rank ceiling (``0``: verbatim reuse only)."""
+        return self._max_rank
 
-        return snapshot_similarity(parent, child, delta=delta)
-
+    # ------------------------------------------------------------------ #
+    # The serving gate
+    # ------------------------------------------------------------------ #
     @staticmethod
     def certifies_kind(kind: "MatrixKind") -> bool:
         """Whether a finite deviation amplification is certified for ``kind``.
@@ -113,41 +130,6 @@ class QCPolicy(ReusePolicy):
             MatrixKind.LAPLACIAN,
         )
 
-    def loss_estimate(
-        self,
-        parent: "GraphSnapshot",
-        child: "GraphSnapshot",
-        *,
-        kind: "MatrixKind",
-        damping: float,
-        delta: Optional["GraphDelta"] = None,
-    ) -> float:
-        """Certified relative-deviation bound of answering child from parent.
-
-        Builds the sparse system-matrix delta for ``kind`` and feeds it to
-        :func:`~repro.core.quality.reuse_loss_bound`.  The Laplacian kind is
-        undamped (``A = I + L`` has a unit-norm inverse), so its
-        amplification factor is 1.  Raises
-        :class:`~repro.errors.MeasureError` for kinds without a certified
-        amplification (see :meth:`certifies_kind`).
-        """
-        from repro.core.quality import reuse_loss_bound
-        from repro.errors import MeasureError
-        from repro.graphs.matrixkind import MatrixKind, system_delta
-
-        if not self.certifies_kind(kind):
-            raise MeasureError(
-                f"no certified reuse-loss bound for matrix kind {kind!r}; "
-                "QCPolicy only trades quality where the loss estimate is a "
-                "proven deviation bound"
-            )
-        entries = system_delta(parent, child, kind=kind, damping=damping, delta=delta)
-        amplifier_damping = 0.0 if kind is MatrixKind.LAPLACIAN else damping
-        return reuse_loss_bound(entries, amplifier_damping)
-
-    # ------------------------------------------------------------------ #
-    # The serving gate
-    # ------------------------------------------------------------------ #
     def prefilter(self, parent: "GraphSnapshot", child: "GraphSnapshot") -> bool:
         """Edge-count upper bound on similarity: reject below α without a delta.
 
@@ -161,30 +143,53 @@ class QCPolicy(ReusePolicy):
         bound = 2.0 * min(parent.edge_count, child.edge_count) / total
         return bound >= self._alpha
 
-    def evaluate_reuse(
+    def correct(
         self,
-        parent: "GraphSnapshot",
-        child: "GraphSnapshot",
+        entries: Dict[Tuple[int, int], float],
         *,
-        kind: "MatrixKind",
-        damping: float,
-        delta: Optional["GraphDelta"] = None,
-    ) -> Optional[ReuseDecision]:
-        from repro.graphs.delta import GraphDelta
+        amplifier_damping: float,
+        similarity: float,
+    ) -> Optional[CorrectionDecision]:
+        """Pick the smallest rank whose residual bound clears ``loss_bound``.
 
-        if parent.n != child.n or not self.certifies_kind(kind):
-            return None
-        if delta is None:
-            delta = GraphDelta.between(parent, child)
-        similarity = self.similarity(parent, child, delta=delta)
+        ``entries`` is the system delta ``ΔA`` and ``amplifier_damping`` the
+        value the caller certifies for the kind (``0.0`` for Laplacian).  The
+        residual bound after applying the ``k`` heaviest columns is the
+        ``(k+1)``-th largest column mass over ``(1 - d)`` (``0.0`` once every
+        column is applied), so the search is a single pass over the ranked
+        masses.  At rank 0 it is :func:`~repro.core.quality.reuse_loss_bound`
+        itself, float for float: a rank-0 decision is a verbatim one.
+        Returns ``None`` when the pair misses the similarity floor or no
+        rank ``<= max_rank`` suffices — the planner then falls through to
+        refresh / cold factorization.
+        """
+        from repro.errors import MeasureError
+
+        if not 0.0 <= amplifier_damping < 1.0:
+            raise MeasureError(
+                "damping factor must lie in [0, 1) for the residual bound, "
+                f"got {amplifier_damping}"
+            )
         if similarity < self._alpha:
             return None
-        loss = self.loss_estimate(
-            parent, child, kind=kind, damping=damping, delta=delta
-        )
-        if loss > self._loss_bound:
-            return None
-        return ReuseDecision(similarity=similarity, loss_estimate=loss)
+        ranked = ranked_update_columns(entries)
+        limit = min(self._max_rank, len(ranked))
+        # Residual after applying the `rank` heaviest columns; dividing (not
+        # multiplying by a precomputed reciprocal) keeps every value
+        # float-identical to residual_loss_bound on the same delta.
+        residuals = [
+            mass / (1.0 - amplifier_damping) for _, mass in ranked[: limit + 1]
+        ] + [0.0]
+        for rank in range(limit + 1):
+            if residuals[rank] <= self._loss_bound:
+                return CorrectionDecision(
+                    similarity=similarity,
+                    loss_estimate=residuals[rank],
+                    uncorrected_estimate=residuals[0],
+                    rank=rank,
+                    columns=tuple(column for column, _ in ranked[:rank]),
+                )
+        return None
 
     # ------------------------------------------------------------------ #
     # The offline gate (LUDEM-QC β-clustering)

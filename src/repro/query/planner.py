@@ -324,14 +324,16 @@ class QueryPlanner:
        factorization, no refresh, an :class:`ApproximationRecord` in the
        batch result.  Exact policies skip this tier entirely.
     4. **Corrected reuse** (:class:`~repro.query.resolution.
-       CorrectedReuseTier`) — a correction-capable policy
+       CorrectedReuseTier`) — a policy with a positive rank ceiling
        (:class:`~repro.policy.corrected.CorrectedPolicy`) licenses
        answering through a rank-``k`` Sherman–Morrison–Woodbury correction
        of a cached system's factors (:class:`~repro.lu.smw.
        WoodburyCorrector`): the ``k`` dominant columns of ``ΔA`` are applied
        exactly, the *residual* delta is certified, at the cost of ``k``
        extra triangular sweeps once plus a ``k×k`` dense solve per batch.
-       The candidate scan also covers **cross-damping** sharing: a cached
+       The candidate scan (one per ladder: each candidate is scored once,
+       through the policy's single gate, for both reuse tiers) also covers
+       **cross-damping** sharing: a cached
        system over the *same snapshot* at a different damping factor, whose
        delta ``(d' - d)·M`` the same machinery bounds.
     5. **Delta refresh** (:class:`~repro.query.resolution.RefreshTier`) —
@@ -393,8 +395,8 @@ class QueryPlanner:
     ladder:
         The :class:`~repro.query.resolution.ResolutionLadder` to walk;
         ``None`` (default) builds the standard six-tier ladder above.  A
-        ladder belongs to one planner (its tiers' scan memos are cleared
-        through this planner's cache listeners) — build a fresh one per
+        ladder belongs to one planner (its scan memo is cleared through
+        this planner's cache listeners) — build a fresh one per
         planner rather than sharing.
     """
 
@@ -463,8 +465,8 @@ class QueryPlanner:
 
         Registered as a (weakly held) invalidation listener: any install,
         eviction or steal changes the candidate set the reuse tiers scan,
-        so their scan memos are discarded wholesale (the corrected tier's
-        memo also holds correctors built over possibly-departed factors),
+        so the ladder's scan memo is discarded wholesale (it also holds the
+        corrected tier's correctors, built over possibly-departed factors),
         and the result cache drops the answers derived from the affected
         key.
         """
@@ -646,6 +648,7 @@ class QueryPlanner:
             auto_refresh=self._auto_refresh,
             lineage=self._lineage,
             snapshot_of=self._snapshot_of,
+            scan=self._ladder.scan,
         )
 
     def execute(self, plan: QueryPlan) -> BatchResult:

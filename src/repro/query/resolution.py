@@ -12,8 +12,10 @@ first-class object instead of six private planner methods:
 * Six concrete tiers, in serving-precedence order: :class:`HitTier`,
   :class:`StoreRestoreTier`, :class:`VerbatimReuseTier`,
   :class:`CorrectedReuseTier`, :class:`RefreshTier`, :class:`ColdTier`.
-* :class:`CandidateScan` — the memoized scan over cached system keys that
-  the two reuse tiers share (one scan discipline, two scoring rules).
+* :class:`CandidateScan` — the ladder's one memoized scan over cached
+  system keys: it scores each eligible candidate of a miss group once,
+  through the policy's single gate, and both reuse tiers pick from the
+  scored decisions (verbatim: rank 0 only; corrected: any rank).
 * :class:`ResolutionLadder` — the ordered walk.  Stages run *tier-major*
   (every pending group through one tier before the next tier sees the
   leftovers) except the hit/store-restore pair, which is fused
@@ -62,7 +64,7 @@ from repro.sparse.types import Entries
 
 if TYPE_CHECKING:  # runtime imports are lazy (repro.policy sits above this
     # package) or would be circular (the planner imports this module).
-    from repro.policy import CorrectionDecision, ReuseDecision, ReusePolicy
+    from repro.policy import CorrectionDecision, ReusePolicy
     from repro.query.planner import PlannedGroup
 
 
@@ -148,13 +150,193 @@ class Resolution:
     record: Optional[ApproximationRecord] = None
 
 
+@dataclasses.dataclass(frozen=True)
+class ScoredCandidate:
+    """One cached system the policy admitted to answer a miss group.
+
+    Attributes
+    ----------
+    key:
+        The candidate's :class:`~repro.query.spec.SystemKey`.
+    decision:
+        The policy's :class:`~repro.policy.base.CorrectionDecision` for the
+        pair (rank 0: the candidate may answer verbatim).
+    entries:
+        The system delta ``ΔA`` the decision was made on; a rank-``k``
+        correction gathers its columns from here.
+    cross_damping:
+        ``True`` for a same-snapshot candidate at another damping factor.
+    """
+
+    key: SystemKey
+    decision: "CorrectionDecision"
+    entries: Entries
+    cross_damping: bool
+
+
+class ScanEntry:
+    """One memoized scan outcome: the scored candidates and each tier's pick.
+
+    Same-damping candidates are scored when the entry is created;
+    cross-damping ones only once a tier asks for them (the corrected tier,
+    under a policy with a positive rank ceiling).  A tier memoizes its
+    pick in :attr:`picks` under its name, so a steady-state batch repeats
+    the pick it made when the entry was first scanned.
+    """
+
+    __slots__ = ("scored", "cross_damping_scored", "picks")
+
+    def __init__(self) -> None:
+        self.scored: Dict[SystemKey, ScoredCandidate] = {}
+        self.cross_damping_scored = False
+        self.picks: Dict[str, object] = {}
+
+    def candidates(self, cache: FactorCache) -> List[ScoredCandidate]:
+        """The scored candidates in the cache's *current* key order.
+
+        A tier keeps the first of equally preferable candidates, so this
+        order (the cache's LRU order when the tier picks) is the
+        tie-break.
+        """
+        return [
+            self.scored[key] for key in cache.keys() if key in self.scored
+        ]
+
+
+class CandidateScan:
+    """The memoized cached-key scan the two reuse tiers share.
+
+    Both reuse tiers answer a miss group from a cached *candidate* system.
+    The scan iterates the cached keys, skips structurally ineligible ones
+    (other matrix kinds, parameterized or custom-built matrices, unknown or
+    differently-sized snapshots) and scores each remaining candidate once
+    through the policy's single gate, :meth:`~repro.policy.base.
+    ReusePolicy.correct`:
+
+    * **same damping, different snapshot** — prefilter, graph delta,
+      snapshot similarity (below the policy's ``alpha`` the candidate is
+      dropped before any ``ΔA`` is built), then ``ΔA =
+      system_delta(parent, child)``;
+    * **same snapshot, different damping** — ``ΔA = (d' - d)·M``
+      (:func:`~repro.graphs.matrixkind.damping_delta`), similarity
+      ``1.0``, certified with the conservative amplification constant
+      ``1/(1 - max(d, d'))`` (the Laplacian ignores damping entirely: its
+      delta is empty and the reuse exact).
+
+    Scan outcomes — including "no candidate" — are memoized per ``(kind,
+    damping, child snapshot)`` until :meth:`clear` (the planner clears on
+    any factor-cache change or snapshot binding), so steady-state repeated
+    batches pay the full delta-scoring scan once, not per batch.  The memo
+    is LRU-bounded at :data:`MEMO_LIMIT` distinct combinations.
+    """
+
+    #: Bound on the candidate-scan memo (distinct (kind, damping, child)
+    #: combinations remembered between cache changes).
+    MEMO_LIMIT = 128
+
+    def __init__(self) -> None:
+        self._memo: "OrderedDict[Tuple, ScanEntry]" = OrderedDict()
+
+    def clear(self) -> None:
+        """Forget every memoized outcome (the candidate set changed)."""
+        self._memo.clear()
+
+    def lookup(
+        self,
+        group: "PlannedGroup",
+        ctx: ResolutionContext,
+        cross_damping: bool = False,
+    ) -> Optional[ScanEntry]:
+        """Return the group's memoized (or freshly scanned) candidates.
+
+        ``cross_damping`` also scores same-snapshot candidates at other
+        damping factors.  Returns ``None`` when the group cannot borrow
+        factors at all (custom or parameterized matrix, or a kind the
+        policy does not certify) or no candidate was admitted.
+        """
+        key = group.key
+        if key.matrix_builder is not None or key.matrix_params:
+            return None
+        if not ctx.policy.certifies_kind(key.kind):
+            return None
+        child = group.queries[0].snapshot
+        memo_key = (key.kind, key.damping, child)
+        entry = self._memo.get(memo_key)
+        if entry is None:
+            entry = self._memo[memo_key] = ScanEntry()
+            self._score(entry, key, child, ctx, cross_damping=False)
+            while len(self._memo) > self.MEMO_LIMIT:
+                self._memo.popitem(last=False)
+        else:
+            self._memo.move_to_end(memo_key)
+        if cross_damping and not entry.cross_damping_scored:
+            entry.cross_damping_scored = True
+            self._score(entry, key, child, ctx, cross_damping=True)
+        return entry if entry.scored else None
+
+    @staticmethod
+    def _score(
+        entry: ScanEntry,
+        key: SystemKey,
+        child: GraphSnapshot,
+        ctx: ResolutionContext,
+        cross_damping: bool,
+    ) -> None:
+        """Score one candidate family into ``entry``."""
+        policy = ctx.policy
+        from repro.core.similarity import snapshot_similarity
+
+        for candidate in ctx.cache.keys():
+            if (
+                candidate.kind is not key.kind
+                or candidate.matrix_params
+                or candidate.matrix_builder is not None
+                or (candidate.damping != key.damping) is not cross_damping
+            ):
+                continue
+            parent = ctx.snapshot_of(candidate)
+            if parent is None or parent.n != child.n:
+                continue
+            if not cross_damping:
+                if not policy.prefilter(parent, child):
+                    continue
+                delta = GraphDelta.between(parent, child)
+                similarity = snapshot_similarity(parent, child, delta=delta)
+                if similarity < policy.alpha:
+                    continue
+                entries = system_delta(
+                    parent, child, kind=key.kind, damping=key.damping, delta=delta
+                )
+                amplifier = key.damping
+            else:
+                if parent != child:
+                    continue
+                entries = damping_delta(
+                    child,
+                    key.kind,
+                    from_damping=candidate.damping,
+                    to_damping=key.damping,
+                )
+                similarity = 1.0
+                amplifier = max(key.damping, candidate.damping)
+            if key.kind is MatrixKind.LAPLACIAN:
+                amplifier = 0.0
+            decision = policy.correct(
+                entries, amplifier_damping=amplifier, similarity=similarity
+            )
+            if decision is not None:
+                entry.scored[candidate] = ScoredCandidate(
+                    candidate, decision, entries, cross_damping
+                )
+
+
 @dataclasses.dataclass
 class ResolutionContext:
     """Planner collaborators a tier may consult while resolving a group.
 
     One context is built per :meth:`~repro.query.planner.QueryPlanner.
     execute` call and threaded through every tier — tiers hold no planner
-    state of their own beyond their scan memos.
+    state of their own.
     """
 
     #: the planner's factor cache (lookups, peeks, refresh commits)
@@ -169,92 +351,15 @@ class ResolutionContext:
     lineage: Dict[Hashable, Tuple[Hashable, GraphSnapshot, GraphSnapshot]]
     #: resolves a cached key to the snapshot its system was composed from
     snapshot_of: Callable[[SystemKey], Optional[GraphSnapshot]]
-
-
-class CandidateScan:
-    """The memoized cached-key scan the two reuse tiers share.
-
-    Both reuse tiers answer a miss group from a cached *candidate* system:
-    they iterate the cached keys, skip structurally ineligible ones (other
-    matrix kinds, parameterized or custom-built matrices, unknown or
-    differently-sized snapshots), score the rest through a tier-specific
-    rule, and keep the policy-preferred decision — ties keep the
-    first-seen candidate, so the scan is deterministic for a given cache
-    state (the cache's LRU order is the iteration order).
-
-    Scan outcomes — including "no candidate" — are memoized per ``(kind,
-    damping, child snapshot)`` until :meth:`clear` (the planner clears on
-    any factor-cache change or snapshot binding), so steady-state repeated
-    batches pay the full delta-scoring scan once, not per batch.  The memo
-    is LRU-bounded at :data:`MEMO_LIMIT` distinct combinations.
-    """
-
-    #: Bound on the candidate-scan memo (distinct (kind, damping, child)
-    #: combinations remembered between cache changes).
-    MEMO_LIMIT = 128
-
-    def __init__(self) -> None:
-        self._memo: "OrderedDict[Tuple, Optional[Tuple]]" = OrderedDict()
-
-    def clear(self) -> None:
-        """Forget every memoized outcome (the candidate set changed)."""
-        self._memo.clear()
-
-    def lookup(
-        self,
-        group: "PlannedGroup",
-        ctx: ResolutionContext,
-        score: Callable[[SystemKey, GraphSnapshot, GraphSnapshot], Optional[Tuple]],
-        finalize: Optional[Callable[[Tuple], Optional[Tuple]]] = None,
-    ) -> Optional[Tuple]:
-        """Return the memoized (or freshly scanned) best candidate outcome.
-
-        ``score(candidate_key, parent_snapshot, child_snapshot)`` returns
-        ``None`` to reject a candidate or a tuple whose second element is
-        the policy decision (arbitrated via ``decision.preferable_to``).
-        ``finalize`` maps the winning tuple to the memoized value — e.g.
-        building the Woodbury corrector once so the memo holds the
-        expensive part; it may return ``None`` (memoized as "no
-        candidate").
-        """
-        key = group.key
-        if key.matrix_builder is not None or key.matrix_params:
-            return None
-        child = group.queries[0].snapshot
-        memo_key = (key.kind, key.damping, child)
-        if memo_key in self._memo:
-            self._memo.move_to_end(memo_key)
-            return self._memo[memo_key]
-        best: Optional[Tuple] = None
-        for candidate in ctx.cache.keys():
-            if (
-                candidate.kind is not key.kind
-                or candidate.matrix_params
-                or candidate.matrix_builder is not None
-            ):
-                continue
-            parent = ctx.snapshot_of(candidate)
-            if parent is None or parent.n != child.n:
-                continue
-            scored = score(candidate, parent, child)
-            if scored is None:
-                continue
-            if best is None or scored[1].preferable_to(best[1]):
-                best = scored
-        found = best if finalize is None else (
-            None if best is None else finalize(best)
-        )
-        self._memo[memo_key] = found
-        while len(self._memo) > self.MEMO_LIMIT:
-            self._memo.popitem(last=False)
-        return found
+    #: the ladder's candidate scan (and its memo) shared by the reuse tiers
+    scan: CandidateScan = dataclasses.field(default_factory=CandidateScan)
 
 
 class ResolutionTier(abc.ABC):
     """One rung of the ladder: serve a group or pass it down.
 
-    Tiers are stateless between batches except for scan memos (cleared
-    through :meth:`clear_memos` whenever the factor cache changes).  The
+    Tiers hold no state of their own between batches: the reuse tiers
+    memoize their picks in the ladder's :class:`CandidateScan`.  The
     bulk tiers (:class:`RefreshTier`, :class:`ColdTier`) override
     :meth:`resolve_batch` to fan work units out through the executor;
     their ``try_resolve`` is the singleton special case.
@@ -287,9 +392,6 @@ class ResolutionTier(abc.ABC):
             else:
                 resolved[group.key] = resolution
         return resolved, remaining
-
-    def clear_memos(self) -> None:
-        """Drop any memoized scan state (the candidate set changed)."""
 
 
 class HitTier(ResolutionTier):
@@ -334,30 +436,30 @@ class VerbatimReuseTier(ResolutionTier):
     approximate :class:`~repro.policy.base.ReusePolicy` (e.g.
     :class:`~repro.policy.qc.QCPolicy`) licenses serving a miss group from
     a cached similar snapshot's factors outright — no numerical work, an
-    :class:`ApproximationRecord` in the audit trail.  Exact policies skip
-    this tier entirely.  The borrowed system is deliberately NOT installed
-    in the factor cache under the miss key: the cache maps a key to factors
-    of *that* system, and aliasing would turn a bounded approximation into
-    a silent cache hit.
+    :class:`ApproximationRecord` in the audit trail.  The tier picks, among
+    the scan's same-damping rank-0 decisions, the highest similarity, then
+    the lowest loss.  Exact policies skip this tier entirely.  The borrowed
+    system is deliberately NOT installed in the factor cache under the miss
+    key: the cache maps a key to factors of *that* system, and aliasing
+    would turn a bounded approximation into a silent cache hit.
     """
 
     name = "verbatim_reuse"
-
-    def __init__(self) -> None:
-        self._scan = CandidateScan()
-
-    def clear_memos(self) -> None:
-        self._scan.clear()
 
     def try_resolve(
         self, group: "PlannedGroup", ctx: ResolutionContext
     ) -> Optional[Resolution]:
         if ctx.policy.is_exact:
             return None
-        found = self._scan.lookup(group, ctx, self._scorer(group.key, ctx))
-        if found is None:
+        entry = ctx.scan.lookup(group, ctx)
+        if entry is None:
             return None
-        parent_key, decision = found
+        if self.name not in entry.picks:
+            entry.picks[self.name] = self._pick(entry, ctx)
+        best = entry.picks[self.name]
+        if best is None:
+            return None
+        parent_key, decision = best.key, best.decision
         system = ctx.cache.peek(parent_key)
         if system is None:  # pragma: no cover - memo cleared on eviction
             return None
@@ -380,85 +482,58 @@ class VerbatimReuseTier(ResolutionTier):
         )
 
     @staticmethod
-    def _scorer(
-        key: SystemKey, ctx: ResolutionContext
-    ) -> Callable[[SystemKey, GraphSnapshot, GraphSnapshot], Optional[Tuple]]:
-        """Build the scan's scoring rule: same damping, policy-admitted.
-
-        Only kind-composed keys participate (the scan already filters
-        those); the decision is the policy's
-        :meth:`~repro.policy.base.ReusePolicy.evaluate_reuse` over the full
-        snapshot delta.
-        """
-
-        def score(
-            candidate: SystemKey, parent: GraphSnapshot, child: GraphSnapshot
-        ) -> Optional[Tuple[SystemKey, "ReuseDecision"]]:
-            if candidate.damping != key.damping:
-                return None
-            if not ctx.policy.prefilter(parent, child):
-                return None
-            delta = GraphDelta.between(parent, child)
-            decision = ctx.policy.evaluate_reuse(
-                parent, child, kind=key.kind, damping=key.damping, delta=delta
-            )
-            if decision is None:
-                return None
-            return (candidate, decision)
-
-        return score
+    def _pick(entry: ScanEntry, ctx: ResolutionContext) -> Optional[ScoredCandidate]:
+        """The best same-damping rank-0 candidate: similarity, then -loss."""
+        best: Optional[ScoredCandidate] = None
+        for scored in entry.candidates(ctx.cache):
+            decision = scored.decision
+            if scored.cross_damping or decision.rank:
+                continue
+            if best is None or (decision.similarity, -decision.loss_estimate) > (
+                best.decision.similarity,
+                -best.decision.loss_estimate,
+            ):
+                best = scored
+        return best
 
 
 class CorrectedReuseTier(ResolutionTier):
     """Answer via rank-``k`` SMW correction of a cached system (precedence 4).
 
-    Two candidate families share the scan, the bound machinery and the
-    memo:
+    Runs only under a policy with a positive :attr:`~repro.policy.base.
+    ReusePolicy.max_rank`.  It picks from the scan's decisions —
+    same-damping candidates (mode ``"corrected"``) and same-snapshot
+    candidates at another damping factor (mode ``"cross-damping"``) — by
+    :meth:`~repro.policy.base.CorrectionDecision.preferable_to`: cheapest
+    rank, then tightest bound, then highest similarity.
 
-    * **same damping, different snapshot** — the verbatim scan's
-      candidates, but judged by :meth:`~repro.policy.base.ReusePolicy.
-      correct` against the *residual* of ``ΔA = system_delta(parent,
-      child)`` after its ``k`` dominant columns, instead of against the
-      full delta;
-    * **same snapshot, different damping** — a cached ``(kind, snapshot,
-      d')`` system whose delta to the miss is ``(d' - d)·M``
-      (:func:`~repro.graphs.matrixkind.damping_delta`).  The corrected
-      system mixes columns damped at ``d`` and ``d'``, so the
-      conservative amplification constant ``1/(1 - max(d, d'))`` is
-      certified (the Laplacian ignores damping entirely: its delta is
-      empty and the reuse exact).
-
-    The memo entry holds the *built* corrector (its setup sweeps are the
-    expensive part), so steady-state repeated batches pay them once; any
-    factor-cache change clears the memo, which also guarantees a held
-    corrector never outlives the factors it wraps.  A candidate whose
-    capacitance is singular or ill-conditioned is discarded (falls
-    through to refresh / cold) rather than served.
+    The tier memoizes the *built* corrector with its pick (the setup sweeps
+    are the expensive part), so steady-state repeated batches pay them
+    once; any factor-cache change clears the scan memo, which also
+    guarantees a held corrector never outlives the factors it wraps.  A
+    candidate whose capacitance is singular or ill-conditioned is discarded
+    (falls through to refresh / cold) rather than served.
     """
 
     name = "corrected_reuse"
 
-    def __init__(self) -> None:
-        self._scan = CandidateScan()
-
-    def clear_memos(self) -> None:
-        self._scan.clear()
-
     def try_resolve(
         self, group: "PlannedGroup", ctx: ResolutionContext
     ) -> Optional[Resolution]:
-        if not getattr(ctx.policy, "supports_correction", False):
+        if ctx.policy.max_rank <= 0:
             return None
-        key = group.key
-        certifies = getattr(ctx.policy, "certifies_kind", None)
-        if certifies is not None and not certifies(key.kind):
+        entry = ctx.scan.lookup(group, ctx, cross_damping=True)
+        if entry is None:
             return None
-        found = self._scan.lookup(
-            group,
-            ctx,
-            self._scorer(key, ctx),
-            finalize=lambda best: self._build_correction(ctx, *best),
-        )
+        if self.name not in entry.picks:
+            best: Optional[ScoredCandidate] = None
+            for scored in entry.candidates(ctx.cache):
+                if best is None or scored.decision.preferable_to(best.decision):
+                    best = scored
+            entry.picks[self.name] = (
+                None if best is None else self._build_correction(ctx, best)
+            )
+        found = entry.picks[self.name]
         if found is None:
             return None
         parent_key, decision, mode, solver, cache_base = found
@@ -487,59 +562,8 @@ class CorrectedReuseTier(ResolutionTier):
         )
 
     @staticmethod
-    def _scorer(
-        key: SystemKey, ctx: ResolutionContext
-    ) -> Callable[[SystemKey, GraphSnapshot, GraphSnapshot], Optional[Tuple]]:
-        """Build the scan's scoring rule: residual-correction decisions."""
-        from repro.core.similarity import snapshot_similarity
-
-        def score(
-            candidate: SystemKey, parent: GraphSnapshot, child: GraphSnapshot
-        ) -> Optional[Tuple]:
-            if candidate.damping == key.damping:
-                if not ctx.policy.prefilter(parent, child):
-                    return None
-                delta = GraphDelta.between(parent, child)
-                similarity = snapshot_similarity(parent, child, delta=delta)
-                entries = system_delta(
-                    parent, child, kind=key.kind, damping=key.damping, delta=delta
-                )
-                mode = "corrected"
-                amplifier = (
-                    0.0 if key.kind is MatrixKind.LAPLACIAN else key.damping
-                )
-            else:
-                if parent != child:
-                    return None
-                entries = damping_delta(
-                    child,
-                    key.kind,
-                    from_damping=candidate.damping,
-                    to_damping=key.damping,
-                )
-                similarity = 1.0
-                mode = "cross-damping"
-                amplifier = (
-                    0.0
-                    if key.kind is MatrixKind.LAPLACIAN
-                    else max(key.damping, candidate.damping)
-                )
-            decision = ctx.policy.correct(
-                entries, amplifier_damping=amplifier, similarity=similarity
-            )
-            if decision is None:
-                return None
-            return (candidate, decision, mode, entries)
-
-        return score
-
-    @staticmethod
     def _build_correction(
-        ctx: ResolutionContext,
-        parent_key: SystemKey,
-        decision: "CorrectionDecision",
-        mode: str,
-        entries: Entries,
+        ctx: ResolutionContext, scored: ScoredCandidate
     ) -> Optional[Tuple]:
         """Materialize a licensed correction into a servable solver.
 
@@ -552,6 +576,8 @@ class CorrectedReuseTier(ResolutionTier):
         the capacitance check fails — the group then falls through to
         refresh / cold, never serving an uncertified answer.
         """
+        parent_key, decision = scored.key, scored.decision
+        mode = "cross-damping" if scored.cross_damping else "corrected"
         parent_system = ctx.cache.peek(parent_key)
         if parent_system is None:  # pragma: no cover - scan just saw the key
             return None
@@ -560,7 +586,7 @@ class CorrectedReuseTier(ResolutionTier):
         n = parent_system.matrix.n
         update = np.zeros((n, decision.rank), dtype=float)
         offsets = {column: t for t, column in enumerate(decision.columns)}
-        for (row, column), value in entries.items():
+        for (row, column), value in scored.entries.items():
             t = offsets.get(column)
             if t is not None:
                 update[row, t] += value
@@ -852,10 +878,11 @@ class ResolutionLadder:
     the default ladder fuses (hit, store-restore) so a disk restore's
     cache install lands exactly where :meth:`FactorCache.lookup` put it.
 
-    A ladder belongs to one planner: the reuse tiers' scan memos are
-    cleared through the *owning* planner's factor-cache listeners, so
-    sharing a ladder between planners would leak stale scans across
-    caches.
+    The ladder owns the one :class:`CandidateScan` its reuse tiers share
+    (handed to them as ``ResolutionContext.scan``).  A ladder belongs to
+    one planner: the scan memo is cleared through the *owning* planner's
+    factor-cache listeners, so sharing a ladder between planners would leak
+    stale scans across caches.
     """
 
     def __init__(
@@ -875,6 +902,7 @@ class ResolutionLadder:
         if len(names) != len(set(names)):
             raise MeasureError(f"resolution tier names must be unique, got {names}")
         self._stages: Tuple[Stage, ...] = normalized
+        self._scan = CandidateScan()
 
     @property
     def stages(self) -> Tuple[Stage, ...]:
@@ -890,10 +918,14 @@ class ResolutionLadder:
         """The tier names, in precedence order (the ``resolutions`` keys)."""
         return tuple(tier.name for tier in self.tiers)
 
+    @property
+    def scan(self) -> CandidateScan:
+        """The candidate scan shared by the reuse tiers."""
+        return self._scan
+
     def clear_memos(self) -> None:
-        """Clear every tier's scan memos (the candidate set changed)."""
-        for tier in self.tiers:
-            tier.clear_memos()
+        """Clear the scan memo (the candidate set changed)."""
+        self._scan.clear()
 
     def resolve(
         self, groups: Sequence["PlannedGroup"], ctx: ResolutionContext

@@ -51,7 +51,7 @@ from repro.lu import (
     solve_reordered_system_many,
 )
 from repro.policy import CorrectedPolicy, CorrectionDecision, QCPolicy
-from repro.policy.corrected import ranked_update_columns
+from repro.policy.qc import ranked_update_columns
 from repro.query import QueryBatch, QueryPlanner
 from repro.query.planner import ApproximationRecord
 from repro.query.spec import MeasureSpec, get_spec, make_query, register_spec, unregister_spec
@@ -238,10 +238,17 @@ class TestResidualBound:
         policy = CorrectedPolicy(alpha=0.5, loss_bound=1.0, max_rank=3)
         assert policy.name == "corrected"
         assert policy.max_rank == 3
-        assert policy.supports_correction
+        assert QCPolicy().max_rank == 0
         with pytest.raises(MeasureError):
             policy.correct({}, amplifier_damping=1.0, similarity=1.0)
         assert policy.correct({}, amplifier_damping=0.85, similarity=0.2) is None
+
+    def test_bool_max_rank_rejected(self):
+        """``True`` is an ``int`` subclass; it must not pass as rank 1."""
+        for flag in (True, False):
+            with pytest.raises(ClusteringError):
+                CorrectedPolicy(max_rank=flag)
+        assert CorrectedPolicy(max_rank=1).max_rank == 1
 
     def test_decision_preference_order(self):
         cheap = CorrectionDecision(

@@ -19,6 +19,8 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,11 @@ from repro.core.cinc import decompose_sequence_cinc
 from repro.core.clude import decompose_sequence_clude
 from repro.core.problem import LUDEMQCProblem
 from repro.core.qc import resolve_qc_policy, solve_qc_cinc, solve_qc_clude
-from repro.core.quality import MarkowitzReference, reuse_loss_bound
+from repro.core.quality import (
+    MarkowitzReference,
+    residual_loss_bound,
+    reuse_loss_bound,
+)
 from repro.core.similarity import snapshot_similarity
 from repro.errors import ClusteringError, MeasureError
 from repro.exec import canonical_sequence_state
@@ -42,8 +48,9 @@ from repro.graphs.matrixkind import MatrixKind, system_delta
 from repro.graphs.snapshot import GraphSnapshot
 from repro.measures.timeseries import MeasureSeries
 from repro.graphs.generators import growing_egs
-from repro.policy import ExactPolicy, QCPolicy, ReuseDecision
+from repro.policy import CorrectionDecision, ExactPolicy, QCPolicy
 from repro.query import QueryBatch, QueryPlanner
+from repro.query.resolution import ResolutionContext
 from repro.sparse.pattern import SparsityPattern, matrix_edit_similarity
 
 
@@ -71,6 +78,16 @@ def evolve(
     return snapshot.with_edges(added=added, removed=removed)
 
 
+def gate(policy, before, after, kind=MatrixKind.RANDOM_WALK, damping=0.85):
+    """Score one (parent, child) pair through the policy's serving gate."""
+    entries = system_delta(before, after, kind=kind, damping=damping)
+    return policy.correct(
+        entries,
+        amplifier_damping=damping,
+        similarity=snapshot_similarity(before, after),
+    )
+
+
 def build_chain(seed: int, n: int = 40, steps: int = 6,
                 additions: int = 2, removals: int = 1):
     rng = np.random.default_rng(seed)
@@ -88,10 +105,11 @@ class TestPolicyObjects:
         policy = ExactPolicy()
         assert policy.is_exact
         assert policy.name == "exact"
+        assert policy.max_rank == 0
         clone = GraphSnapshot(tiny_graph.n, tiny_graph.edges)
-        assert policy.evaluate_reuse(
-            tiny_graph, clone, kind=MatrixKind.RANDOM_WALK, damping=0.85
-        ) is None
+        assert gate(policy, tiny_graph, clone) is None
+        for kind in MatrixKind:
+            assert not policy.certifies_kind(kind)
 
     def test_qc_policy_validation(self):
         with pytest.raises(ClusteringError):
@@ -100,34 +118,43 @@ class TestPolicyObjects:
             QCPolicy(alpha=-0.1)
         with pytest.raises(ClusteringError):
             QCPolicy(loss_bound=-0.5)
+        assert QCPolicy().max_rank == 0
+
+    def test_nan_loss_bound_rejected(self, rng):
+        """A NaN bound would certify anything: ``residual <= nan`` is never
+        True, but ``loss > nan`` is never True either."""
+        with pytest.raises(ClusteringError):
+            QCPolicy(loss_bound=float("nan"))
+        with pytest.raises(ClusteringError):
+            QCPolicy(alpha=float("nan"))
+        before = random_snapshot(rng, 30, 120)
+        after = evolve(rng, before, additions=3, removals=2)
+        assert gate(QCPolicy(alpha=0.0, loss_bound=0.0), before, after) is None
 
     def test_identical_snapshots_reuse_at_zero_loss(self, tiny_graph):
         policy = QCPolicy(alpha=1.0, loss_bound=0.0)
         clone = GraphSnapshot(tiny_graph.n, tiny_graph.edges)
-        decision = policy.evaluate_reuse(
-            tiny_graph, clone, kind=MatrixKind.RANDOM_WALK, damping=0.85
+        decision = gate(policy, tiny_graph, clone)
+        assert decision == CorrectionDecision(
+            similarity=1.0, loss_estimate=0.0, uncorrected_estimate=0.0,
+            rank=0, columns=(),
         )
-        assert decision == ReuseDecision(similarity=1.0, loss_estimate=0.0)
 
     def test_alpha_gate_rejects_dissimilar(self):
         a = GraphSnapshot(6, [(0, 1), (1, 2), (2, 3)])
         b = GraphSnapshot(6, [(3, 4), (4, 5), (5, 0)])
-        assert QCPolicy(alpha=0.5, loss_bound=1e9).evaluate_reuse(
-            a, b, kind=MatrixKind.RANDOM_WALK, damping=0.85
-        ) is None
+        assert snapshot_similarity(a, b) < 0.5
+        assert gate(QCPolicy(alpha=0.5, loss_bound=1e9), a, b) is None
+        assert gate(QCPolicy(alpha=0.0, loss_bound=1e9), a, b) is not None
 
     def test_loss_gate_rejects_when_alpha_passes(self, rng):
         before = random_snapshot(rng, 30, 120)
         after = evolve(rng, before, additions=3, removals=2)
         loose = QCPolicy(alpha=0.0, loss_bound=1e9)
-        decision = loose.evaluate_reuse(
-            before, after, kind=MatrixKind.RANDOM_WALK, damping=0.85
-        )
+        decision = gate(loose, before, after)
         assert decision is not None and decision.loss_estimate > 0.0
         tight = QCPolicy(alpha=0.0, loss_bound=decision.loss_estimate / 2.0)
-        assert tight.evaluate_reuse(
-            before, after, kind=MatrixKind.RANDOM_WALK, damping=0.85
-        ) is None
+        assert gate(tight, before, after) is None
 
     def test_uncertified_kind_is_never_reused(self, rng):
         """SYMMETRIC_WALK has no proven ‖A⁻¹‖₁ bound: reuse must refuse."""
@@ -135,13 +162,23 @@ class TestPolicyObjects:
         after = evolve(rng, before, additions=1, removals=1)
         policy = QCPolicy(alpha=0.0, loss_bound=1e12)
         assert not policy.certifies_kind(MatrixKind.SYMMETRIC_WALK)
-        assert policy.evaluate_reuse(
-            before, after, kind=MatrixKind.SYMMETRIC_WALK, damping=0.85
-        ) is None
-        with pytest.raises(MeasureError):
-            policy.loss_estimate(
-                before, after, kind=MatrixKind.SYMMETRIC_WALK, damping=0.85
-            )
+        # The planner's scan never consults the gate for an uncertified kind.
+        planner = QueryPlanner(policy=policy)
+        planner.run(QueryBatch().add_pagerank(before))
+        ctx = ResolutionContext(
+            cache=planner.cache,
+            policy=policy,
+            executor=None,
+            auto_refresh=False,
+            lineage={},
+            snapshot_of=lambda key: key.system,
+        )
+        group = planner.plan(QueryBatch().add_pagerank(after)).groups[0]
+        assert ctx.scan.lookup(group, ctx) is not None
+        uncertified = dataclasses.replace(
+            group, key=dataclasses.replace(group.key, kind=MatrixKind.SYMMETRIC_WALK)
+        )
+        assert ctx.scan.lookup(uncertified, ctx) is None
         for kind in (MatrixKind.RANDOM_WALK, MatrixKind.SALSA_AUTHORITY,
                      MatrixKind.SALSA_HUB, MatrixKind.LAPLACIAN):
             assert policy.certifies_kind(kind)
@@ -182,18 +219,18 @@ class TestPolicyObjects:
                 policy = QCPolicy(alpha=alpha, loss_bound=1e12)
                 if not policy.prefilter(a, b):
                     assert snapshot_similarity(a, b) < alpha
-                    assert policy.evaluate_reuse(
-                        a, b, kind=MatrixKind.RANDOM_WALK, damping=0.85
-                    ) is None
+                    assert gate(policy, a, b) is None
         # ExactPolicy's default prefilter never rejects.
         g = GraphSnapshot(3, [(0, 1)])
         assert ExactPolicy().prefilter(g, g)
 
     def test_mismatched_sizes_rejected(self, tiny_graph):
         other = GraphSnapshot(tiny_graph.n + 1, tiny_graph.edges)
-        assert QCPolicy(alpha=0.0, loss_bound=1e9).evaluate_reuse(
-            tiny_graph, other, kind=MatrixKind.RANDOM_WALK, damping=0.85
-        ) is None
+        planner = QueryPlanner(policy=QCPolicy(alpha=0.0, loss_bound=1e9))
+        planner.run(QueryBatch().add_pagerank(tiny_graph))
+        outcome = planner.run(QueryBatch().add_pagerank(other))
+        assert outcome.stats.qc_reuses == 0
+        assert outcome.stats.factorizations == 1
 
     def test_unknown_decomposition_flavor_raises(self, tiny_symmetric_ems):
         with pytest.raises(ClusteringError):
@@ -236,9 +273,9 @@ class TestScoringIngredients:
         after = evolve(rng, before, additions=2, removals=1)
         policy = QCPolicy(alpha=0.0, loss_bound=1e9)
         entries = system_delta(before, after, kind=MatrixKind.RANDOM_WALK, damping=0.85)
-        assert policy.loss_estimate(
-            before, after, kind=MatrixKind.RANDOM_WALK, damping=0.85
-        ) == reuse_loss_bound(entries, 0.85)
+        assert gate(policy, before, after).loss_estimate == reuse_loss_bound(
+            entries, 0.85
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -254,13 +291,39 @@ class TestScoringIngredients:
         after = evolve(rng, before, additions=int(rng.integers(0, 5)),
                        removals=int(rng.integers(0, 3)))
         policy = QCPolicy(alpha=alpha, loss_bound=loss_bound)
-        decision = policy.evaluate_reuse(
-            before, after, kind=MatrixKind.RANDOM_WALK, damping=damping
-        )
+        decision = gate(policy, before, after, damping=damping)
         if decision is not None:
             assert decision.similarity >= alpha
             assert decision.loss_estimate <= loss_bound
             assert decision.similarity == snapshot_similarity(before, after)
+            assert decision.rank == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        loss_bound=st.floats(min_value=0.0, max_value=20.0),
+        damping=st.sampled_from([0.3, 0.5, 0.85]),
+        kind=st.sampled_from([MatrixKind.RANDOM_WALK, MatrixKind.SALSA_AUTHORITY]),
+    )
+    def test_rank_zero_decision_is_the_verbatim_bound(
+        self, seed, loss_bound, damping, kind
+    ):
+        """QC's gate returns a rank-0 decision iff the verbatim bound clears
+        ``loss_bound``, and its estimate is that bound, float for float."""
+        rng = np.random.default_rng(seed)
+        before = random_snapshot(rng, 20, 70)
+        after = evolve(rng, before, additions=int(rng.integers(0, 6)),
+                       removals=int(rng.integers(0, 4)))
+        entries = system_delta(before, after, kind=kind, damping=damping)
+        verbatim = residual_loss_bound(entries, (), damping)
+        decision = QCPolicy(alpha=0.0, loss_bound=loss_bound).correct(
+            entries, amplifier_damping=damping, similarity=0.5
+        )
+        assert (decision is not None) == (verbatim <= loss_bound)
+        if decision is not None:
+            assert decision.rank == 0 and decision.columns == ()
+            assert decision.loss_estimate == verbatim
+            assert decision.uncorrected_estimate == verbatim
 
 
 # ---------------------------------------------------------------------- #

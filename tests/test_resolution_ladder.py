@@ -159,6 +159,33 @@ class TestTierCounting:
         assert stats.resolutions["corrected_reuse"] > 0
         assert stats.corrected_reuses == stats.resolutions["corrected_reuse"]
 
+    def test_one_scan_per_miss_group(self, monkeypatch):
+        """Both reuse tiers read one scan: each candidate's ΔA is built once
+        per miss group, not once per tier."""
+        import repro.graphs.matrixkind as matrixkind
+        import repro.query.resolution as resolution
+
+        calls = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(resolution, "system_delta", counted(resolution.system_delta))
+        monkeypatch.setattr(matrixkind, "system_delta", counted(matrixkind.system_delta))
+        snaps = workload_snapshots()
+        planner = QueryPlanner(
+            policy=CorrectedPolicy(alpha=0.0, loss_bound=1e-3, max_rank=8)
+        )
+        planner.run(all_measure_batch(snaps[0]))
+        assert calls == []
+        stats = planner.run(all_measure_batch(snaps[1])).stats
+        assert stats.resolutions["corrected_reuse"] == 1
+        # Three miss groups have a same-damping candidate to score.
+        assert len(calls) == 3
+
     def test_refresh_counts(self):
         snaps = workload_snapshots()
         planner = QueryPlanner()
