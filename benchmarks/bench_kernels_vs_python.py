@@ -7,7 +7,10 @@ an in-file baseline and measures the vectorized CSR kernels against it:
 * ``matvec`` at ``n = 2000`` — the inner loop of power iteration and of
   every residual check (acceptance floor: >= 5x),
 * ``solve_many`` on a 64-column right-hand-side block vs. 64 scalar solves —
-  the paper's measure-time-series access pattern (acceptance floor: > 1x).
+  the paper's measure-time-series access pattern (acceptance floor: > 1x),
+* the narrow (per-column Python) and wide (vectorized NumPy) triangular
+  sweeps at k = 1, 4, 16, 64 on an ``n = 400`` RWR system, with the sweep the
+  width rule selects; the two must agree bitwise at every width.
 
 Runs standalone in a few seconds::
 
@@ -21,10 +24,13 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.graphs.matrixkind import MatrixKind, measure_matrix
+from repro.graphs.snapshot import GraphSnapshot
 from repro.lu.crout import crout_decompose
 from repro.lu.markowitz import markowitz_ordering
 from repro.lu.solve import solve_factored, solve_factored_many
 from repro.sparse.csr import SparseMatrix
+from repro.sparse.kernels import narrow_sweep, wide_sweep
 
 MATVEC_N = 2000
 MATVEC_AVG_DEGREE = 8
@@ -34,6 +40,10 @@ SOLVE_N = 300
 SOLVE_AVG_DEGREE = 3
 SOLVE_RHS = 64
 SOLVE_REPS = 3
+
+SWEEP_N = 400
+SWEEP_WIDTHS = (1, 4, 16, 64)
+SWEEP_REPS = 5
 
 
 class DictOfDictsMatvec:
@@ -123,7 +133,39 @@ def measure_solve_many_speedup() -> Dict[str, float]:
     }
 
 
-def _report(matvec: Dict[str, float], solve: Dict[str, float]) -> None:
+def _rwr_system(n: int, seed: int) -> SparseMatrix:
+    """``I - 0.85 W`` of a random digraph with 3 out-edges per node on average."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    while len(edges) < 3 * n:
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        if u != v:
+            edges.add((u, v))
+    return measure_matrix(GraphSnapshot(n, edges), MatrixKind.RANDOM_WALK, 0.85)
+
+
+def measure_sweeps() -> List[Dict[str, float]]:
+    """Time the narrow and wide sweeps of ``solve_many`` at each of ``SWEEP_WIDTHS``."""
+    matrix = _rwr_system(SWEEP_N, seed=3)
+    factors = crout_decompose(markowitz_ordering(matrix).apply(matrix))
+    storage = factors.sweep_storage()
+    rows = []
+    for k in SWEEP_WIDTHS:
+        block = np.random.default_rng(k).random((SWEEP_N, k))
+        # Deterministic gate: both sweeps give the same bits at every width.
+        assert narrow_sweep(factors, block).tobytes() == wide_sweep(factors, block).tobytes()
+        rows.append({
+            "k": float(k),
+            "narrow_ms": _best_of(SWEEP_REPS, narrow_sweep, factors, block) * 1e3,
+            "wide_ms": _best_of(SWEEP_REPS, wide_sweep, factors, block) * 1e3,
+            "selects_narrow": float(storage.is_narrow(k)),
+        })
+    return rows
+
+
+def _report(
+    matvec: Dict[str, float], solve: Dict[str, float], sweeps: List[Dict[str, float]]
+) -> None:
     print("\n== CSR kernels vs. seed dict-of-dicts loops ==")
     print(
         f"matvec     n={int(matvec['n'])} nnz={int(matvec['nnz'])}: "
@@ -135,6 +177,12 @@ def _report(matvec: Dict[str, float], solve: Dict[str, float]) -> None:
         f"looped {solve['looped_ms']:.3f} ms -> batched {solve['batched_ms']:.3f} ms "
         f"({solve['speedup']:.1f}x)"
     )
+    for row in sweeps:
+        picked = "narrow" if row["selects_narrow"] else "wide"
+        print(
+            f"solve_many n={SWEEP_N} k={int(row['k'])}: narrow {row['narrow_ms']:.3f} ms, "
+            f"wide {row['wide_ms']:.3f} ms (selects {picked}; bitwise equal)"
+        )
 
 
 def test_kernels_vs_python(benchmark):
@@ -143,7 +191,7 @@ def test_kernels_vs_python(benchmark):
 
     matvec = single_run(benchmark, measure_matvec_speedup)
     solve = measure_solve_many_speedup()
-    _report(matvec, solve)
+    _report(matvec, solve, measure_sweeps())
     assert matvec["speedup"] >= 5.0
     assert solve["speedup"] > 1.0
 
@@ -151,7 +199,7 @@ def test_kernels_vs_python(benchmark):
 def main() -> int:
     matvec = measure_matvec_speedup()
     solve = measure_solve_many_speedup()
-    _report(matvec, solve)
+    _report(matvec, solve, measure_sweeps())
     ok = matvec["speedup"] >= 5.0 and solve["speedup"] > 1.0
     print("PASS" if ok else "FAIL: speedup floors not met")
     return 0 if ok else 1

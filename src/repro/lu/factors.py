@@ -23,7 +23,8 @@ The shared protocol (used by Crout, Bennett and the triangular solvers):
 ``l_get(i, j)``, ``l_set(i, j, v)``, ``u_get(i, j)``, ``u_set(i, j, v)``,
 ``l_column_entries(j)`` (strictly-below-diagonal entries of column ``j``),
 ``u_row_entries(i)`` (strictly-right-of-diagonal entries of row ``i``),
-``l_diagonal(k)`` / ``set_l_diagonal(k, v)``, ``fill_size``,
+``l_diagonal(k)`` / ``set_l_diagonal(k, v)``, ``sweep_storage()`` (the
+native storage read by the triangular sweeps), ``fill_size``,
 ``structural_ops``, ``decomposed_pattern()``.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.errors import DimensionError
 from repro.sparse.csr import SparseMatrix
-from repro.sparse.kernels import solve_factored_many
+from repro.sparse.kernels import SweepStorage, solve_factored_many
 from repro.sparse.lil import AdjacencyListMatrix
 from repro.sparse.pattern import SparsityPattern
 
@@ -125,6 +126,17 @@ class LUFactors:
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
+    def sweep_storage(self) -> SweepStorage:
+        """Return the adjacency lists as :class:`~repro.sparse.kernels.SweepStorage`.
+
+        A stored pivot is the first entry of its ``_lower_t`` row, so ``L``'s
+        entries start one past it; an absent (zero) pivot reads as 0.0.
+        """
+        rows, values = self._lower_t.row_lists()
+        l_first = [1 if column and column[0] == j else 0 for j, column in enumerate(rows)]
+        pivots = [head[0] if first else 0.0 for head, first in zip(values, l_first)]
+        return SweepStorage(pivots, l_first, rows, values, *self._upper.row_lists())
+
     def solve_many(self, block) -> np.ndarray:
         """Solve ``(L U) X = B`` for a dense ``(n, k)`` block of right-hand sides.
 

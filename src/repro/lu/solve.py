@@ -8,11 +8,17 @@ and one backward substitution (paper Section 2.1/2.2):
 so ``x' = backward(U, forward(L, P b))`` and ``x = Q x'``.
 
 A whole block of right-hand sides (e.g. the 64 query vectors of a proximity
-sweep) is handled by the ``*_many`` variants, which run the same sweeps once
-with column-vectorized updates instead of once per right-hand side.  The
-scalar routines are thin ``k = 1`` wrappers around the batched kernels in
-:mod:`repro.sparse.kernels`, so scalar and batched answers are bitwise
-identical column for column.
+sweep) is handled by the ``*_many`` variants from
+:mod:`repro.sparse.kernels`.  They read the factor container's own storage
+(``sweep_storage()``) and choose the sweep from the block's width: narrow
+blocks are solved column by column in Python float arithmetic, wide ones by
+one NumPy sweep that updates every column at once.  Both sweeps perform the
+same floating-point operations in the same order for every element (the
+narrow backward sweep runs over ``U``'s rows, the wide one over its columns,
+and each ``x[i]`` still receives its updates in descending column order).
+The scalar routines here are one-column calls of those kernels, so scalar
+and batched answers are bitwise identical column for column by
+construction.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from repro.errors import DimensionError
 from repro.sparse.kernels import (
     PIVOT_TOLERANCE,
     backward_substitution_many,
-    backward_substitution_single,
     forward_substitution_many,
-    forward_substitution_single,
     solve_factored_many,
 )
 from repro.sparse.permutation import Ordering
@@ -45,36 +49,29 @@ __all__ = [
 ]
 
 
-def _as_vector(factors, b: Sequence[float]) -> np.ndarray:
-    """Validate a scalar right-hand side and return a float64 working copy."""
-    n = factors.n
-    vector = np.array(b, dtype=float)
-    if vector.shape != (n,):
+def _one_column(kernel, factors, b: Sequence[float]) -> np.ndarray:
+    """Run a batched kernel on one right-hand side and return its column."""
+    vector = np.asarray(b, dtype=float)
+    if vector.shape != (factors.n,):
         raise DimensionError(
-            f"right-hand side of shape {vector.shape} incompatible with n={n}"
+            f"right-hand side of shape {vector.shape} incompatible with n={factors.n}"
         )
-    return vector
+    return kernel(factors, vector[:, None])[:, 0]
 
 
 def forward_substitution(factors, b: Sequence[float]) -> np.ndarray:
-    """Solve ``L y = b`` where ``L`` is the lower factor of ``factors``.
-
-    Uses the column-oriented (outer-product) sweep, which matches the
-    column-major storage of ``L`` in both factor containers.  The operation
-    sequence is identical to :func:`forward_substitution_many`, so the result
-    is bitwise equal to the matching column of a batched solve.
-    """
-    return forward_substitution_single(factors, _as_vector(factors, b))
+    """Solve ``L y = b`` where ``L`` is the lower factor of ``factors``."""
+    return _one_column(forward_substitution_many, factors, b)
 
 
 def backward_substitution(factors, y: Sequence[float]) -> np.ndarray:
     """Solve ``U x = y`` where ``U`` is the unit upper factor of ``factors``."""
-    return backward_substitution_single(factors, _as_vector(factors, y))
+    return _one_column(backward_substitution_many, factors, y)
 
 
 def solve_factored(factors, b: Sequence[float]) -> np.ndarray:
     """Solve ``(L U) x = b`` given already-computed factors (no reordering)."""
-    return backward_substitution(factors, forward_substitution(factors, b))
+    return _one_column(solve_factored_many, factors, b)
 
 
 def solve_reordered_system(

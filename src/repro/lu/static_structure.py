@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import DimensionError, PatternError
 from repro.sparse.csr import SparseMatrix
-from repro.sparse.kernels import solve_factored_many
+from repro.sparse.kernels import SweepStorage, solve_factored_many
 from repro.sparse.pattern import SparsityPattern
 
 
@@ -200,6 +200,17 @@ class StaticLUFactors:
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
+    def sweep_storage(self) -> SweepStorage:
+        """Return the slot lists (uncopied) as :class:`~repro.sparse.kernels.SweepStorage`."""
+        return SweepStorage(
+            self._diagonal.tolist(),
+            [0] * self._n,
+            self._l_col_rows,
+            self._l_col_values,
+            self._u_row_cols,
+            self._u_row_values,
+        )
+
     def solve_many(self, block) -> np.ndarray:
         """Solve ``(L U) X = B`` for a dense ``(n, k)`` block of right-hand sides.
 

@@ -117,6 +117,13 @@ class AdjacencyListMatrix:
         """Iterate over ``(column, value)`` pairs of row ``i`` in column order."""
         return zip(self._columns[i], self._values[i])
 
+    def row_lists(self) -> Tuple[List[List[int]], List[List[float]]]:
+        """Return the per-row column and value lists themselves (no copy).
+
+        The lists are the live storage: callers must treat them as read-only.
+        """
+        return self._columns, self._values
+
     def row_columns(self, i: int) -> List[int]:
         """Return the sorted column indices with stored entries in row ``i``."""
         return list(self._columns[i])

@@ -53,11 +53,32 @@ class TestTriangularSolves:
 
     def test_zero_pivot_detected(self):
         from repro.lu.factors import LUFactors
+        from repro.lu.static_structure import StaticLUFactors
+        from repro.sparse.kernels import narrow_sweep, wide_sweep
+        from repro.sparse.pattern import SparsityPattern
 
         factors = LUFactors(2)
         factors.set_l_diagonal(0, 1.0)   # pivot 1 missing (zero)
         with pytest.raises(SingularMatrixError):
             forward_substitution(factors, [1.0, 1.0])
+
+        # Pivot 1 is absent from the dynamic storage while column 1 still
+        # holds an entry below it; the sweeps must read it as 0.0, not skip it.
+        dynamic = LUFactors(3)
+        dynamic.set_l_diagonal(0, 2.0)
+        dynamic.l_set(2, 1, 0.5)
+        dynamic.set_l_diagonal(2, 1.0)
+        static = StaticLUFactors(SparsityPattern(3, [(2, 1)]))
+        static.set_l_diagonal(0, 2.0)
+        static.l_set(2, 1, 0.5)
+        static.set_l_diagonal(2, 1.0)
+        assert dynamic.sweep_storage().pivots == [2.0, 0.0, 1.0]
+        for container in (dynamic, static):
+            for sweep in (narrow_sweep, wide_sweep):
+                for width in (0, 1, 4):
+                    with pytest.raises(SingularMatrixError) as raised:
+                        sweep(container, np.ones((3, width)))
+                    assert (raised.value.pivot_index, raised.value.value) == (1, 0.0)
 
 
 class TestReorderedSolve:

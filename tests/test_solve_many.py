@@ -15,12 +15,18 @@ from hypothesis import strategies as st
 
 from repro.core.solver import EMSSolver, available_algorithms
 from repro.graphs.generators import SyntheticEGSConfig, generate_synthetic_egs
-from repro.lu.crout import crout_decompose
+from repro.graphs.matrixkind import MatrixKind, measure_matrix
+from repro.graphs.snapshot import GraphSnapshot
+from repro.lu.crout import crout_decompose, crout_decompose_into
+from repro.lu.markowitz import markowitz_ordering
 from repro.lu.solve import solve_factored
+from repro.lu.static_structure import StaticLUFactors
+from repro.lu.symbolic import symbolic_decomposition
 from repro.measures.pagerank import pagerank_rhs, pagerank_series
 from repro.measures.rwr import rwr_scores, rwr_scores_many
 from repro.measures.timeseries import MeasureSeries
 from repro.measures.base import SnapshotMeasureSolver
+from repro.sparse.kernels import narrow_sweep, wide_sweep
 from tests.conftest import random_dd_matrix
 
 ALGORITHMS = available_algorithms()
@@ -41,6 +47,31 @@ def small_ems(small_egs):
     from repro.graphs.matrixkind import MatrixKind
 
     return EvolvingMatrixSequence.from_graphs(small_egs, kind=MatrixKind.RANDOM_WALK)
+
+
+def _dynamic_and_static(matrix):
+    """Crout factors of ``matrix`` in both factor containers."""
+    pattern = symbolic_decomposition(matrix.pattern())
+    static = StaticLUFactors(pattern)
+    crout_decompose_into(matrix, static, pattern=pattern)
+    return crout_decompose(matrix), static
+
+
+def _assert_sweeps_agree(factors, block):
+    """Narrow, wide, auto-selected and column-wise scalar solves are bitwise equal."""
+    narrow = narrow_sweep(factors, block)
+    wide = wide_sweep(factors, block)
+    assert narrow.shape == wide.shape == block.shape
+    assert narrow.tobytes() == wide.tobytes()
+    assert factors.solve_many(block).tobytes() == narrow.tobytes()
+    for forward, backward in ((True, False), (False, True)):
+        assert (
+            narrow_sweep(factors, block, forward, backward).tobytes()
+            == wide_sweep(factors, block, forward, backward).tobytes()
+        )
+    for column in range(block.shape[1]):
+        scalar = solve_factored(factors, block[:, column])
+        assert narrow[:, column].tobytes() == scalar.tobytes()
 
 
 class TestSolveManyEqualsColumnwiseSolve:
@@ -68,17 +99,39 @@ class TestSolveManyEqualsColumnwiseSolve:
         # And the answers are actually solutions.
         assert np.allclose(matrix.to_dense() @ batched, block)
 
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(0, 40),
+        n=st.sampled_from([0, 1, 12, 120]),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_batched_equals_scalar_property(self, seed, k):
+    def test_batched_equals_scalar_property(self, seed, k, n):
         rng = np.random.default_rng(seed)
-        matrix = random_dd_matrix(12, 40, rng)
-        factors = crout_decompose(matrix)
-        block = rng.standard_normal((12, k))
-        batched = factors.solve_many(block)
-        for column in range(k):
-            scalar = solve_factored(factors, block[:, column])
-            assert batched[:, column].tobytes() == scalar.tobytes()
+        block = rng.standard_normal((n, k))
+        for factors in _dynamic_and_static(random_dd_matrix(n, 3 * n, rng)):
+            _assert_sweeps_agree(factors, block)
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 120])
+    def test_both_sweeps_at_every_width(self, n):
+        rng = np.random.default_rng(n)
+        containers = _dynamic_and_static(random_dd_matrix(n, 3 * n, rng))
+        for k in range(41):
+            block = rng.standard_normal((n, k))
+            for factors in containers:
+                _assert_sweeps_agree(factors, block)
+
+    def test_width_rule_on_a_serve_sized_system(self):
+        rng = np.random.default_rng(3)
+        edges = set()
+        while len(edges) < 1200:  # 3 out-edges per node, as the serving workloads
+            u, v = (int(x) for x in rng.integers(0, 400, size=2))
+            if u != v:
+                edges.add((u, v))
+        matrix = measure_matrix(GraphSnapshot(400, edges), MatrixKind.RANDOM_WALK, 0.85)
+        factors = crout_decompose(markowitz_ordering(matrix).apply(matrix))
+        storage = factors.sweep_storage()
+        assert storage.is_narrow(1)
+        assert not storage.is_narrow(32)
 
 
 class TestBatchedSeriesBitwiseIdentity:
