@@ -22,13 +22,7 @@ from repro.exec import ParallelExecutor, SerialExecutor
 from repro.graphs.delta import GraphDelta
 from repro.graphs.egs import EvolvingGraphSequence
 from repro.graphs.ems import EvolvingMatrixSequence
-from repro.graphs.matrixkind import (
-    MatrixKind,
-    delta_provider,
-    register_delta_provider,
-    registered_delta_kinds,
-    system_delta,
-)
+from repro.graphs.matrixkind import MatrixKind, system_delta
 from repro.graphs.snapshot import GraphSnapshot
 from repro.policy import CorrectedPolicy, ExactPolicy, QCPolicy, ReusePolicy
 from repro.query import (
@@ -63,9 +57,6 @@ __all__ = [
     "EvolvingMatrixSequence",
     "MatrixKind",
     "system_delta",
-    "delta_provider",
-    "register_delta_provider",
-    "registered_delta_kinds",
     "FactorCache",
     "FactorStore",
     "ResultCache",

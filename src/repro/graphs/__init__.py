@@ -13,10 +13,7 @@ from repro.graphs.matrixkind import (
     DEFAULT_DAMPING,
     DeltaProvider,
     MatrixKind,
-    delta_provider,
     measure_matrix,
-    register_delta_provider,
-    registered_delta_kinds,
     system_delta,
 )
 from repro.graphs.snapshot import GraphSnapshot
@@ -31,9 +28,6 @@ __all__ = [
     "measure_matrix",
     "system_delta",
     "DeltaProvider",
-    "delta_provider",
-    "register_delta_provider",
-    "registered_delta_kinds",
     "touched_nodes",
     "touched_sources",
     "DEFAULT_DAMPING",

@@ -34,17 +34,16 @@ symmetric kinds) is replaced, which is why the builders work from
 :func:`~repro.graphs.delta.touched_sources` / touched nodes rather than the
 raw edge delta.
 
-Delta computation dispatches through a per-kind **provider registry**
-(:func:`register_delta_provider` / :func:`delta_provider`): each
-:class:`MatrixKind` registers one callable computing its localized system
-delta, and :func:`system_delta` is a thin validated dispatcher.  Extending
-the library with a new kind therefore means registering a provider, not
-editing a closed if/elif chain.  The SALSA kinds use a *localized two-hop*
-provider: the composed product ``F B`` (or ``B F``) only changes in columns
-reachable from the touched nodes, so the provider recomputes exactly those
-columns through the same spgemm kernel — bitwise identical to diffing the
-two fully-composed matrices, at a cost that scales with the graph change
-rather than the graph.
+Delta computation dispatches through a closed per-kind table: each
+:class:`MatrixKind` maps to one provider computing its localized system
+delta, and :func:`system_delta` is a thin validated dispatcher.  The table
+is fixed because the refresh path and refresh provenance rely on every
+delta being exactly the matrix difference.  The SALSA kinds use a
+*localized two-hop* provider: the composed product ``F B`` (or ``B F``)
+only changes in columns reachable from the touched nodes, so the provider
+recomputes exactly those columns through the same spgemm kernel — bitwise
+identical to diffing the two fully-composed matrices, at a cost that
+scales with the graph change rather than the graph.
 """
 
 from __future__ import annotations
@@ -521,54 +520,14 @@ def damping_delta(
 #: returned entries must equal the full composed-matrix diff bitwise.
 DeltaProvider = Callable[[GraphSnapshot, GraphSnapshot, float, GraphDelta], Entries]
 
-_DELTA_PROVIDERS: Dict[MatrixKind, DeltaProvider] = {}
-
-
-def register_delta_provider(
-    kind: MatrixKind, provider: DeltaProvider
-) -> DeltaProvider:
-    """Register (or replace) the system-delta provider for one matrix kind.
-
-    The provider contract: called only with two same-``n`` snapshots, a
-    validated damping factor and a *non-empty* delta, it returns the sparse
-    entry delta ``measure_matrix(after) - measure_matrix(before)`` —
-    **bitwise equal** to composing both full matrices and diffing them
-    (:meth:`~repro.sparse.csr.SparseMatrix.delta_entries`), since refresh
-    provenance replays and the Bennett update path both assume the delta is
-    exactly the matrix difference.  Returns ``provider`` so the function is
-    usable as a decorator factory argument.
-    """
-    if not isinstance(kind, MatrixKind):
-        raise MeasureError(f"not a MatrixKind: {kind!r}")
-    _DELTA_PROVIDERS[kind] = provider
-    return provider
-
-
-def delta_provider(kind: MatrixKind) -> DeltaProvider:
-    """Return the registered system-delta provider for ``kind``.
-
-    Raises :class:`~repro.errors.MeasureError` for kinds without a provider
-    (the registry replaces the historical closed if/elif dispatch, so an
-    unregistered kind is the "unsupported" case).
-    """
-    provider = _DELTA_PROVIDERS.get(kind)
-    if provider is None:
-        raise MeasureError(
-            f"no system-delta provider registered for matrix kind: {kind!r}"
-        )
-    return provider
-
-
-def registered_delta_kinds() -> Tuple[MatrixKind, ...]:
-    """The matrix kinds with a registered system-delta provider."""
-    return tuple(_DELTA_PROVIDERS)
-
-
-register_delta_provider(MatrixKind.RANDOM_WALK, _random_walk_system_delta)
-register_delta_provider(MatrixKind.SYMMETRIC_WALK, _symmetric_walk_system_delta)
-register_delta_provider(MatrixKind.LAPLACIAN, _laplacian_system_delta)
-register_delta_provider(MatrixKind.SALSA_AUTHORITY, _salsa_authority_system_delta)
-register_delta_provider(MatrixKind.SALSA_HUB, _salsa_hub_system_delta)
+#: The system-delta provider of every :class:`MatrixKind`.
+_DELTA_PROVIDERS: Dict[MatrixKind, DeltaProvider] = {
+    MatrixKind.RANDOM_WALK: _random_walk_system_delta,
+    MatrixKind.SYMMETRIC_WALK: _symmetric_walk_system_delta,
+    MatrixKind.LAPLACIAN: _laplacian_system_delta,
+    MatrixKind.SALSA_AUTHORITY: _salsa_authority_system_delta,
+    MatrixKind.SALSA_HUB: _salsa_hub_system_delta,
+}
 
 
 def system_delta(
@@ -580,21 +539,21 @@ def system_delta(
 ) -> Entries:
     """Return the sparse entry delta ``measure_matrix(after) - measure_matrix(before)``.
 
-    Dispatches to the per-kind provider registry
-    (:func:`register_delta_provider`).  Every built-in provider is
-    *localized*: for the locally-normalized kinds (``RANDOM_WALK``,
-    ``SYMMETRIC_WALK``, ``LAPLACIAN``) the delta is computed from the
-    touched nodes alone, and the two-hop SALSA kinds recompute only the
-    product columns reachable from the touched nodes — so the cost scales
-    with the graph change rather than the graph, and the result is bitwise
-    equal to diffing the two fully-composed matrices.
+    Dispatches to the kind's provider.  Every provider is *localized*: for
+    the locally-normalized kinds (``RANDOM_WALK``, ``SYMMETRIC_WALK``,
+    ``LAPLACIAN``) the delta is computed from the touched nodes alone, and
+    the two-hop SALSA kinds recompute only the product columns reachable
+    from the touched nodes — so the cost scales with the graph change rather
+    than the graph, and the result is bitwise equal to diffing the two
+    fully-composed matrices.
 
     Parameters
     ----------
     before, after:
         Two snapshots over the same node universe.
     kind:
-        Which system-matrix composition the delta is for.
+        Which system-matrix composition the delta is for; anything other
+        than a :class:`MatrixKind` raises :class:`~repro.errors.MeasureError`.
     damping:
         Damping factor ``d`` of the composition (ignored for ``LAPLACIAN``).
     delta:
@@ -605,8 +564,10 @@ def system_delta(
         raise DimensionError(
             f"snapshots have different node counts: {before.n} vs {after.n}"
         )
+    if not isinstance(kind, MatrixKind):
+        raise MeasureError(f"not a MatrixKind: {kind!r}")
     validate_damping(kind, damping)
-    provider = delta_provider(kind)
+    provider = _DELTA_PROVIDERS[kind]
     if delta is None:
         delta = GraphDelta.between(before, after)
     if delta.is_empty():

@@ -40,8 +40,8 @@ from repro.query.resolution import (
     ResolutionLadder,
     ResolutionTier,
     StoreRestoreTier,
+    TIER_NAMES,
     VerbatimReuseTier,
-    default_stages,
 )
 from repro.query.spec import (
     FactorizedSystem,
@@ -92,5 +92,5 @@ __all__ = [
     "CorrectedReuseTier",
     "RefreshTier",
     "ColdTier",
-    "default_stages",
+    "TIER_NAMES",
 ]

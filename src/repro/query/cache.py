@@ -161,10 +161,10 @@ class FactorCache:
     def lookup_memory(self, key: SystemKey) -> Optional[FactorizedSystem]:
         """Return the system cached *in memory* and count the hit or miss.
 
-        The memory half of :meth:`lookup` — the resolution ladder's hit
-        tier.  A miss is counted here (``misses``) whether or not a store
-        later serves the key; :meth:`restore_from_store` refines the miss
-        into ``store_hits`` / ``store_misses`` without recounting.
+        The resolution ladder's hit tier.  A miss is counted here
+        (``misses``) whether or not a store later serves the key;
+        :meth:`restore_from_store` refines the miss into ``store_hits`` /
+        ``store_misses`` without recounting.
         """
         system = self._systems.get(key)
         if system is not None:
@@ -177,15 +177,14 @@ class FactorCache:
     def restore_from_store(self, key: SystemKey) -> Optional[FactorizedSystem]:
         """Restore a memory-missed key from the disk tier, if possible.
 
-        The store half of :meth:`lookup` — the resolution ladder's
-        store-restore tier.  Call it only after :meth:`lookup_memory`
-        reported a miss: a restorable checkpoint is decoded (or
-        delta-replayed), installed, counted as a ``store_hits``, and
-        returned.  ``store_misses`` counts the memory misses the store
-        could not serve either; among those, ``restore_fallbacks`` counts
-        the ones where a checkpoint file existed but failed its checksum or
-        its delta replay.  Returns ``None`` (without touching any counter)
-        when no store is attached.
+        The resolution ladder's store-restore tier.  Call it only after
+        :meth:`lookup_memory` reported a miss: a restorable checkpoint is
+        decoded (or delta-replayed), installed, counted as a
+        ``store_hits``, and returned.  ``store_misses`` counts the memory
+        misses the store could not serve either; among those,
+        ``restore_fallbacks`` counts the ones where a checkpoint file
+        existed but failed its checksum or its delta replay.  Returns
+        ``None`` (without touching any counter) when no store is attached.
         """
         if self._store is None:
             return None
@@ -200,21 +199,6 @@ class FactorCache:
         self._store_hits += 1
         self._install(key, restored)
         return restored
-
-    def lookup(self, key: SystemKey) -> Optional[FactorizedSystem]:
-        """Return the cached system for ``key`` and count the hit or miss.
-
-        With a store attached, a memory miss consults the disk tier before
-        giving up — the caller never learns the system was not in memory,
-        which is exactly what makes a warm restart answer without cold
-        factorizations.  Exactly :meth:`lookup_memory` followed (on a miss)
-        by :meth:`restore_from_store`; the ladder planner calls the halves
-        directly so each tier's serve is counted under its own name.
-        """
-        system = self.lookup_memory(key)
-        if system is not None:
-            return system
-        return self.restore_from_store(key)
 
     def peek(self, key: SystemKey) -> Optional[FactorizedSystem]:
         """Return the cached system without touching counters or recency."""

@@ -145,9 +145,9 @@ class PlannerStats:
     ``resolutions`` maps every resolution-tier name to the number of
     planned groups that tier served — one uniform surface for the whole
     ladder, shape-stable across batches (every tier appears, zeros
-    included).  With the default ladder the keys are ``"hit"``,
-    ``"store_restore"``, ``"verbatim_reuse"``, ``"corrected_reuse"``,
-    ``"refresh"`` and ``"cold"``.
+    included).  The keys are :data:`~repro.query.resolution.TIER_NAMES`:
+    ``"hit"``, ``"store_restore"``, ``"verbatim_reuse"``,
+    ``"corrected_reuse"``, ``"refresh"`` and ``"cold"``.
 
     The historical counters are derived views of that mapping:
     ``factorizations`` (the acceptance-criteria counter — at most one cold
@@ -392,12 +392,6 @@ class QueryPlanner:
         on miss, :meth:`checkpoint`).  Mutually exclusive with ``cache`` —
         when sharing an existing cache, attach the store to it directly
         via ``FactorCache(store=...)``.
-    ladder:
-        The :class:`~repro.query.resolution.ResolutionLadder` to walk;
-        ``None`` (default) builds the standard six-tier ladder above.  A
-        ladder belongs to one planner (its scan memo is cleared through
-        this planner's cache listeners) — build a fresh one per
-        planner rather than sharing.
     """
 
     def __init__(
@@ -408,7 +402,6 @@ class QueryPlanner:
         policy: Optional["ReusePolicy"] = None,
         result_cache: Union[ResultCache, int, None] = None,
         store: Optional["FactorStore"] = None,
-        ladder: Optional[ResolutionLadder] = None,
     ) -> None:
         # Imported here, not at module level: repro.policy sits above the
         # core package, whose solver module imports this one.
@@ -432,7 +425,7 @@ class QueryPlanner:
             self._cache = FactorCache(store=store)
         self._auto_refresh = bool(auto_refresh)
         self._policy = policy
-        self._ladder = ladder if ladder is not None else ResolutionLadder()
+        self._ladder = ResolutionLadder()
         if result_cache is None:
             self._results: Optional[ResultCache] = ResultCache()
         elif isinstance(result_cache, bool):
@@ -457,9 +450,6 @@ class QueryPlanner:
         #: so policy reuse can score cached systems whose key is a token.
         self._snapshots: Dict[Hashable, GraphSnapshot] = {}
 
-    def _clear_scan_memos(self) -> None:
-        self._ladder.clear_memos()
-
     def _on_factor_invalidation(self, key: SystemKey) -> None:
         """React to a factor-cache change: drop derived answers, stale scans.
 
@@ -472,7 +462,7 @@ class QueryPlanner:
         """
         if self._results is not None:
             self._results.invalidate_system(key)
-        self._clear_scan_memos()
+        self._ladder.clear_memos()
 
     def _on_factor_eviction(self, key: SystemKey) -> None:
         """React to a key leaving the factor cache: prune dead bookkeeping.
@@ -506,11 +496,6 @@ class QueryPlanner:
     def policy(self) -> "ReusePolicy":
         """The reuse policy gating approximate answers (the reuse tiers)."""
         return self._policy
-
-    @property
-    def ladder(self) -> ResolutionLadder:
-        """The resolution ladder miss groups walk, in precedence order."""
-        return self._ladder
 
     @property
     def result_cache(self) -> Optional[ResultCache]:
@@ -556,7 +541,7 @@ class QueryPlanner:
         self._snapshots[system] = snapshot
         # A new binding can make a candidate scoreable: stale negative scans
         # must not outlive it.
-        self._clear_scan_memos()
+        self._ladder.clear_memos()
 
     def _prune_stale_bindings(self) -> None:
         """Drop snapshot bindings no cached key can use any more.

@@ -6,9 +6,10 @@ reuse of a similar snapshot's factors, rank-``k`` corrected reuse, Bennett
 delta refresh, cold factorization.  This module makes that ladder a
 first-class object instead of six private planner methods:
 
-* :class:`ResolutionTier` — the uniform step interface:
-  ``try_resolve(group, ctx) -> Resolution | None``.  A tier either serves
-  the group (returning *how* in a :class:`Resolution`) or passes it down.
+* :class:`ResolutionTier` — the step interface: a tier either serves a
+  group (returning *how* in a :class:`Resolution`) or passes it down, one
+  group at a time (``try_resolve``) or over every pending group at once
+  (``resolve_batch``).
 * Six concrete tiers, in serving-precedence order: :class:`HitTier`,
   :class:`StoreRestoreTier`, :class:`VerbatimReuseTier`,
   :class:`CorrectedReuseTier`, :class:`RefreshTier`, :class:`ColdTier`.
@@ -16,16 +17,15 @@ first-class object instead of six private planner methods:
   system keys: it scores each eligible candidate of a miss group once,
   through the policy's single gate, and both reuse tiers pick from the
   scored decisions (verbatim: rank 0 only; corrected: any rank).
-* :class:`ResolutionLadder` — the ordered walk.  Stages run *tier-major*
-  (every pending group through one tier before the next tier sees the
-  leftovers) except the hit/store-restore pair, which is fused
-  *group-major* so a store restore lands between the neighbouring groups'
-  memory lookups exactly as :meth:`FactorCache.lookup` interleaved them —
-  the cache's LRU recency order (and with it the reuse tiers'
-  deterministic tie-breaking) is part of the bitwise contract.
+* :class:`ResolutionLadder` — the fixed walk.  The hit/store-restore pair
+  runs *group-major*, so a store restore lands between the neighbouring
+  groups' memory lookups — the cache's LRU recency order (and with it the
+  reuse tiers' deterministic tie-breaking) is part of the bitwise contract.
+  The other four tiers then run *tier-major*: every pending group through
+  one tier before the next tier sees the leftovers.
 
 The ladder reports per-tier serve counts under the tier *names*
-(``resolutions={tier_name: count}`` in
+(:data:`TIER_NAMES`; ``resolutions={tier_name: count}`` in
 :class:`~repro.query.planner.PlannerStats`); the historical counters
 (``cache_hits``, ``qc_reuses``, ``corrected_reuses``, ``refreshes``,
 ``factorizations``) are derived views of that mapping.
@@ -33,7 +33,6 @@ The ladder reports per-tier serve counts under the tier *names*
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 from collections import OrderedDict
 from typing import (
@@ -50,7 +49,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import FactorizationError, MeasureError, SingularMatrixError
+from repro.errors import FactorizationError, SingularMatrixError
 from repro.exec.executors import Executor, resolve_executor
 from repro.exec.plan import plan_factor_batch, plan_refresh_batch
 from repro.graphs.delta import GraphDelta
@@ -352,27 +351,27 @@ class ResolutionContext:
     #: resolves a cached key to the snapshot its system was composed from
     snapshot_of: Callable[[SystemKey], Optional[GraphSnapshot]]
     #: the ladder's candidate scan (and its memo) shared by the reuse tiers
-    scan: CandidateScan = dataclasses.field(default_factory=CandidateScan)
+    scan: CandidateScan
 
 
-class ResolutionTier(abc.ABC):
+class ResolutionTier:
     """One rung of the ladder: serve a group or pass it down.
 
     Tiers hold no state of their own between batches: the reuse tiers
     memoize their picks in the ladder's :class:`CandidateScan`.  The
-    bulk tiers (:class:`RefreshTier`, :class:`ColdTier`) override
-    :meth:`resolve_batch` to fan work units out through the executor;
-    their ``try_resolve`` is the singleton special case.
+    per-group tiers implement :meth:`try_resolve`; the bulk tiers
+    (:class:`RefreshTier`, :class:`ColdTier`) override :meth:`resolve_batch`
+    instead, to fan work units out through the executor.
     """
 
     #: the tier's stable name: its key in ``PlannerStats.resolutions``
     name: str = ""
 
-    @abc.abstractmethod
     def try_resolve(
         self, group: "PlannedGroup", ctx: ResolutionContext
     ) -> Optional[Resolution]:
         """Serve ``group`` from this tier, or return ``None`` to fall through."""
+        raise NotImplementedError
 
     def resolve_batch(
         self, groups: Sequence["PlannedGroup"], ctx: ResolutionContext
@@ -411,11 +410,11 @@ class HitTier(ResolutionTier):
 class StoreRestoreTier(ResolutionTier):
     """Restore a memory-missed group's factors from the disk store.
 
-    Must run fused group-major right after :class:`HitTier` (the default
-    ladder does): :meth:`FactorCache.restore_from_store` refines the miss
-    that :meth:`FactorCache.lookup_memory` just counted, and the restore's
-    install must land between the neighbouring groups' memory lookups to
-    preserve the cache's exact LRU recency order.  A no-op without a store.
+    Runs group-major right after :class:`HitTier`:
+    :meth:`FactorCache.restore_from_store` refines the miss that
+    :meth:`FactorCache.lookup_memory` just counted, and the restore's install
+    must land between the neighbouring groups' memory lookups to preserve
+    the cache's exact LRU recency order.  A no-op without a store.
     """
 
     name = "store_restore"
@@ -605,20 +604,15 @@ class CorrectedReuseTier(ResolutionTier):
 class RefreshTier(ResolutionTier):
     """Bennett-refresh miss groups from their cached lineage parents (precedence 5).
 
-    A bulk tier: refresh units dispatch through the same executors as
-    factor units, so independent refreshes fan out onto a worker pool.
-    Refreshed systems are committed to the factor cache under their new
-    keys (unlike the reuse tiers' borrowed factors, a refreshed system IS
-    the miss key's system).
+    A bulk tier: each refresh goes :meth:`FactorCache.prepare_refresh` →
+    REFRESH work unit → :meth:`FactorCache.commit_refresh`, and the units
+    dispatch through the same executors as factor units, so independent
+    refreshes fan out onto a worker pool.  Refreshed systems are committed
+    to the factor cache under their new keys (unlike the reuse tiers'
+    borrowed factors, a refreshed system IS the miss key's system).
     """
 
     name = "refresh"
-
-    def try_resolve(
-        self, group: "PlannedGroup", ctx: ResolutionContext
-    ) -> Optional[Resolution]:
-        resolved, _ = self.resolve_batch([group], ctx)
-        return resolved.get(group.key)
 
     def resolve_batch(
         self, groups: Sequence["PlannedGroup"], ctx: ResolutionContext
@@ -633,9 +627,8 @@ class RefreshTier(ResolutionTier):
         cached *yet* may be the next link of a lineage chain whose earlier
         link is refreshing in this same batch, so it is deferred until a
         wave commits nothing new.  A group whose lineage parent never
-        materializes counts a ``refresh_fallbacks`` (matching
-        :meth:`FactorCache.refresh` on a missing parent) and factorizes
-        cold.
+        materializes counts a ``refresh_fallbacks``
+        (:meth:`FactorCache.refresh_failed`) and factorizes cold.
         """
         resolved: Dict[SystemKey, Resolution] = {}
         cold: List["PlannedGroup"] = []
@@ -774,7 +767,8 @@ class RefreshTier(ResolutionTier):
 class ColdTier(ResolutionTier):
     """Factorize each remaining group's system matrix once (precedence 6).
 
-    The ladder's floor: never passes a group down.  Factor units report
+    The ladder's floor: it resolves every group it is given or raises
+    :class:`~repro.errors.FactorizationError`.  Factor units report
     failures instead of raising (one poisoned query must not abort its
     siblings with a bare worker traceback): every healthy group's system
     is computed *and cached* first, then a single
@@ -784,12 +778,6 @@ class ColdTier(ResolutionTier):
     """
 
     name = "cold"
-
-    def try_resolve(
-        self, group: "PlannedGroup", ctx: ResolutionContext
-    ) -> Optional[Resolution]:
-        resolved, _ = self.resolve_batch([group], ctx)
-        return resolved.get(group.key)
 
     def resolve_batch(
         self, groups: Sequence["PlannedGroup"], ctx: ResolutionContext
@@ -848,75 +836,41 @@ class ColdTier(ResolutionTier):
         return ", ".join(parts)
 
 
-#: One ladder stage: tiers fused group-major (each pending group walks the
-#: stage's tiers in order before the next group starts).
-Stage = Tuple[ResolutionTier, ...]
-
-
-def default_stages() -> Tuple[Stage, ...]:
-    """The serving precedence as shipped: hit → store-restore → verbatim →
-    corrected → refresh → cold, with the first two fused group-major."""
-    return (
-        (HitTier(), StoreRestoreTier()),
-        (VerbatimReuseTier(),),
-        (CorrectedReuseTier(),),
-        (RefreshTier(),),
-        (ColdTier(),),
+#: The tier names in serving precedence order: the keys of every
+#: ``PlannerStats.resolutions`` mapping.
+TIER_NAMES: Tuple[str, ...] = tuple(
+    tier.name
+    for tier in (
+        HitTier, StoreRestoreTier, VerbatimReuseTier, CorrectedReuseTier,
+        RefreshTier, ColdTier,
     )
+)
 
 
 class ResolutionLadder:
-    """The ordered tier walk resolving every planned group of a batch.
+    """The fixed tier walk resolving every planned group of a batch.
 
-    ``stages`` is a sequence whose elements are either a single
-    :class:`ResolutionTier` or a tuple of tiers to fuse group-major.
-    Stages run tier-major: every pending group is offered to a stage
-    before the next stage sees the leftovers — which is what lets the
-    bulk tiers (refresh waves, batched factorization) fan their work
-    units out through the executor in one go.  Within a fused stage each
-    group walks the stage's tiers in order before the next group starts —
-    the default ladder fuses (hit, store-restore) so a disk restore's
-    cache install lands exactly where :meth:`FactorCache.lookup` put it.
+    Each group first tries :class:`HitTier` then :class:`StoreRestoreTier`
+    before the next group starts, so a disk restore's cache install lands
+    between the neighbouring groups' memory lookups.  The groups left over
+    then walk :class:`VerbatimReuseTier`, :class:`CorrectedReuseTier`,
+    :class:`RefreshTier` and :class:`ColdTier` tier-major: every pending
+    group is offered to a tier before the next tier sees the leftovers —
+    which is what lets the bulk tiers (refresh waves, batched
+    factorization) fan their work units out through the executor in one go.
 
     The ladder owns the one :class:`CandidateScan` its reuse tiers share
-    (handed to them as ``ResolutionContext.scan``).  A ladder belongs to
-    one planner: the scan memo is cleared through the *owning* planner's
-    factor-cache listeners, so sharing a ladder between planners would leak
-    stale scans across caches.
+    (handed to them as ``ResolutionContext.scan``); the owning planner
+    clears it whenever its factor cache or snapshot bindings change.
     """
 
-    def __init__(
-        self,
-        stages: Optional[Sequence[Union[ResolutionTier, Sequence[ResolutionTier]]]] = None,
-    ) -> None:
-        if stages is None:
-            normalized = default_stages()
-        else:
-            normalized = tuple(
-                tuple(stage) if isinstance(stage, (tuple, list)) else (stage,)
-                for stage in stages
-            )
-        if not normalized or not any(normalized):
-            raise MeasureError("a resolution ladder needs at least one tier")
-        names = [tier.name for stage in normalized for tier in stage]
-        if len(names) != len(set(names)):
-            raise MeasureError(f"resolution tier names must be unique, got {names}")
-        self._stages: Tuple[Stage, ...] = normalized
+    def __init__(self) -> None:
+        self._hit = HitTier()
+        self._store_restore = StoreRestoreTier()
+        self._bulk = (
+            VerbatimReuseTier(), CorrectedReuseTier(), RefreshTier(), ColdTier(),
+        )
         self._scan = CandidateScan()
-
-    @property
-    def stages(self) -> Tuple[Stage, ...]:
-        """The ladder's stages, in precedence order."""
-        return self._stages
-
-    @property
-    def tiers(self) -> Tuple[ResolutionTier, ...]:
-        """Every tier, flattened in precedence order."""
-        return tuple(tier for stage in self._stages for tier in stage)
-
-    def tier_names(self) -> Tuple[str, ...]:
-        """The tier names, in precedence order (the ``resolutions`` keys)."""
-        return tuple(tier.name for tier in self.tiers)
 
     @property
     def scan(self) -> CandidateScan:
@@ -934,40 +888,33 @@ class ResolutionLadder:
 
         ``counts`` holds every tier name (zeros included) in precedence
         order, so the stats surface is shape-stable across batches.
-        Audit records accumulate stage-major in group order — verbatim
+        Audit records accumulate tier-major in group order — verbatim
         records precede corrected records, as the audit trail always has.
+        A tier that no group reaches is not called at all.
         """
         resolved: Dict[SystemKey, Resolution] = {}
-        counts: Dict[str, int] = {name: 0 for name in self.tier_names()}
+        counts: Dict[str, int] = {name: 0 for name in TIER_NAMES}
         records: List[ApproximationRecord] = []
-        pending: List["PlannedGroup"] = list(groups)
-        for stage in self._stages:
+
+        def settle(key: SystemKey, resolution: Resolution) -> None:
+            resolved[key] = resolution
+            counts[resolution.tier] += 1
+            if resolution.record is not None:
+                records.append(resolution.record)
+
+        pending: List["PlannedGroup"] = []
+        for group in groups:
+            resolution = self._hit.try_resolve(group, ctx)
+            if resolution is None:
+                resolution = self._store_restore.try_resolve(group, ctx)
+            if resolution is None:
+                pending.append(group)
+            else:
+                settle(group.key, resolution)
+        for tier in self._bulk:
             if not pending:
                 break
-            if len(stage) == 1:
-                stage_resolved, pending = stage[0].resolve_batch(pending, ctx)
-            else:
-                stage_resolved = {}
-                remaining: List["PlannedGroup"] = []
-                for group in pending:
-                    resolution: Optional[Resolution] = None
-                    for tier in stage:
-                        resolution = tier.try_resolve(group, ctx)
-                        if resolution is not None:
-                            break
-                    if resolution is None:
-                        remaining.append(group)
-                    else:
-                        stage_resolved[group.key] = resolution
-                pending = remaining
-            for key, resolution in stage_resolved.items():
-                resolved[key] = resolution
-                counts[resolution.tier] += 1
-                if resolution.record is not None:
-                    records.append(resolution.record)
-        if pending:
-            unresolved = ", ".join(repr(group.key) for group in pending)
-            raise MeasureError(
-                f"resolution ladder exhausted with unresolved groups: {unresolved}"
-            )
+            tier_resolved, pending = tier.resolve_batch(pending, ctx)
+            for key, resolution in tier_resolved.items():
+                settle(key, resolution)
         return resolved, counts, records

@@ -121,9 +121,8 @@ class ServerStats:
         Lifetime per-tier serve counts, summed over every executed batch's
         :attr:`~repro.query.planner.PlannerStats.resolutions` — ``{tier
         name: planned groups that tier served}``, the same uniform surface
-        the planner reports per batch (``"hit"``, ``"store_restore"``,
-        ``"verbatim_reuse"``, ``"corrected_reuse"``, ``"refresh"``,
-        ``"cold"`` under the default ladder).
+        the planner reports per batch, keyed by
+        :data:`~repro.query.resolution.TIER_NAMES`.
     """
 
     requests: int

@@ -12,7 +12,7 @@ to what the serial planner would have produced:
 - answers scatter back to their global batch positions;
 - per-tier ``resolutions`` counts sum in canonical tier order
   (shape-stable: every tier name present, zeros included);
-- approximation records merge stage-major (verbatim tier before
+- approximation records merge tier-major (verbatim tier before
   corrected tier, group order within each) exactly as the serial audit
   trail accumulates them;
 - updates (``register_evolution`` / ``bind_snapshot`` / ``checkpoint``)
@@ -33,7 +33,7 @@ import pickle
 import queue as queue_module
 import time
 import weakref
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.query.planner import (
     plan_batch,
 )
 from repro.query.batch import QueryBatch
-from repro.query.resolution import ApproximationRecord, ResolutionLadder
+from repro.query.resolution import TIER_NAMES, ApproximationRecord
 from repro.query.spec import Query
 from repro.shard.arena import SharedMemoryArena, SnapshotHandle
 from repro.shard.router import ShardRouter
@@ -114,7 +114,6 @@ class ShardedPlanner:
         self._router = ShardRouter(self._shards, policy_exact=policy_exact)
         self._arena = SharedMemoryArena()
         self._handles: Dict[GraphSnapshot, SnapshotHandle] = {}
-        self._tier_names: Tuple[str, ...] = ResolutionLadder().tier_names()
         self._closed = False
         self._next_task = 0
         self.tasks_dispatched = 0
@@ -285,7 +284,7 @@ class ShardedPlanner:
         payloads = self._collect(expected)
 
         results: List[Optional[np.ndarray]] = [None] * len(plan.batch)
-        resolutions: Dict[str, int] = {name: 0 for name in self._tier_names}
+        resolutions: Dict[str, int] = {name: 0 for name in TIER_NAMES}
         result_hits = 0
         records: List[ApproximationRecord] = []
         for task_id in expected:
@@ -304,7 +303,7 @@ class ShardedPlanner:
         for direct in plan.direct:
             results[direct.position] = direct.answer.copy()
 
-        # Serial audit order is stage-major: every verbatim-tier record
+        # Serial audit order is tier-major: every verbatim-tier record
         # (group order) precedes every corrected-tier record.  Group order
         # is recovered from the first (minimum) global position.
         verbatim = [r for r in records if r.mode == "verbatim"]

@@ -206,7 +206,8 @@ class TestCorruption:
         blob[-3] ^= 0x01
         open(path, "wb").write(bytes(blob))
         cache = FactorCache(store=FactorStore(str(tmp_path)))
-        assert cache.lookup(key) is None
+        assert cache.lookup_memory(key) is None
+        assert cache.restore_from_store(key) is None
         info = cache.cache_info()
         assert info["misses"] == 1
         assert info["restore_fallbacks"] == 1
@@ -327,7 +328,8 @@ class TestCacheIntegration:
         cache.store(keys[1], systems[1])  # evicts keys[0] -> spill
         info = cache.cache_info()
         assert info["evictions"] == 1 and info["spills"] == 1
-        restored = cache.lookup(keys[0])  # miss -> store hit, re-installed
+        assert cache.lookup_memory(keys[0]) is None
+        restored = cache.restore_from_store(keys[0])  # store hit, re-installed
         assert restored is not None
         assert_bitwise_equal(systems[0], restored)
         info = cache.cache_info()
@@ -381,7 +383,8 @@ class TestCacheIntegration:
         cache.store(key, system)
         cache.checkpoint()
         cache.clear()
-        restored = cache.lookup(key)
+        assert cache.lookup_memory(key) is None
+        restored = cache.restore_from_store(key)
         assert restored is not None
         assert_bitwise_equal(system, restored)
 

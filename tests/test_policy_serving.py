@@ -50,7 +50,7 @@ from repro.measures.timeseries import MeasureSeries
 from repro.graphs.generators import growing_egs
 from repro.policy import CorrectionDecision, ExactPolicy, QCPolicy
 from repro.query import QueryBatch, QueryPlanner
-from repro.query.resolution import ResolutionContext
+from repro.query.resolution import CandidateScan, ResolutionContext
 from repro.sparse.pattern import SparsityPattern, matrix_edit_similarity
 
 
@@ -172,6 +172,7 @@ class TestPolicyObjects:
             auto_refresh=False,
             lineage={},
             snapshot_of=lambda key: key.system,
+            scan=CandidateScan(),
         )
         group = planner.plan(QueryBatch().add_pagerank(after)).groups[0]
         assert ctx.scan.lookup(group, ctx) is not None

@@ -8,11 +8,11 @@
    ``tests/data/ladder_golden.json``).
 2. **Tier semantics**: each tier serves in isolation and is counted under
    its own name in ``PlannerStats.resolutions``; the ladder's precedence
-   order, the legacy derived counters, custom ladders, and the
-   ``ServerStats`` passthrough.
-3. **Localized SALSA deltas**: property test that the column-restricted
+   order and group-major hit/store-restore walk, the legacy derived
+   counters, and the ``ServerStats`` passthrough.
+3. **Localized system deltas**: property test that every kind's localized
    provider equals the full composed-matrix diff *exactly* on random
-   digraph evolutions, plus the provider-registry dispatch surface.
+   digraph evolutions, plus the closed per-kind dispatch.
 4. **Layering**: the split modules import standalone, without cycles, and
    every historical import path still resolves to the same objects.
 """
@@ -29,35 +29,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MeasureError
-from repro.graphs.matrixkind import (
-    MatrixKind,
-    delta_provider,
-    measure_matrix,
-    register_delta_provider,
-    registered_delta_kinds,
-    system_delta,
-)
+from repro.graphs.matrixkind import MatrixKind, measure_matrix, system_delta
 from repro.graphs.snapshot import GraphSnapshot
 from repro.policy import CorrectedPolicy, QCPolicy
 from repro.query import QueryPlanner
 from repro.query.cache import FactorCache
-from repro.query.resolution import (
-    ColdTier,
-    CorrectedReuseTier,
-    HitTier,
-    RefreshTier,
-    ResolutionLadder,
-    StoreRestoreTier,
-    VerbatimReuseTier,
-    default_stages,
-)
+from repro.query.resolution import TIER_NAMES
 from repro.serve import StatsCollector
 
 from ladder_workload import GOLDEN_RELPATH, all_measure_batch, run_workload, workload_snapshots
-
-TIER_NAMES = (
-    "hit", "store_restore", "verbatim_reuse", "corrected_reuse", "refresh", "cold",
-)
 
 
 @pytest.fixture()
@@ -99,12 +79,41 @@ class TestDifferentialGolden:
 # ---------------------------------------------------------------------- #
 class TestTierCounting:
     def test_default_ladder_order(self):
-        planner = QueryPlanner()
-        assert planner.ladder.tier_names() == TIER_NAMES
-        # Hit and store-restore share one fused stage (a store restore must
-        # interleave with neighbouring groups' memory lookups exactly as the
-        # monolith's single cache.lookup did); every other stage is solo.
-        assert tuple(len(stage) for stage in planner.ladder.stages) == (2, 1, 1, 1, 1)
+        assert TIER_NAMES == (
+            "hit", "store_restore", "verbatim_reuse", "corrected_reuse",
+            "refresh", "cold",
+        )
+
+    def test_hit_and_store_restore_run_group_major(self, snap0, tmp_path):
+        """Each group tries its memory lookup, then its store restore, before
+        the next group starts: a restore's install must land between the
+        neighbouring groups' lookups (LRU order is part of the bitwise
+        contract)."""
+        from repro.store import FactorStore
+
+        store = FactorStore(str(tmp_path / "factors"))
+        writer = QueryPlanner(store=store)
+        writer.run(all_measure_batch(snap0))
+        writer.cache.checkpoint()
+        cache = FactorCache(store=store)
+        calls = []
+        for name in ("lookup_memory", "restore_from_store"):
+            original = getattr(cache, name)
+
+            def traced(key, _name=name, _original=original):
+                calls.append((_name, key))
+                return _original(key)
+
+            setattr(cache, name, traced)
+        planner = QueryPlanner(cache=cache)
+        plan = planner.plan(all_measure_batch(snap0))
+        stats = planner.execute(plan).stats
+        assert stats.resolutions["store_restore"] == len(plan.groups)
+        assert calls == [
+            (name, group.key)
+            for group in plan.groups
+            for name in ("lookup_memory", "restore_from_store")
+        ]
 
     def test_resolutions_mapping_is_shape_stable(self, snap0):
         """Every tier name appears in every batch's mapping, zeros included."""
@@ -195,31 +204,6 @@ class TestTierCounting:
         assert stats.resolutions["refresh"] > 0
         assert stats.refreshes == stats.resolutions["refresh"]
 
-    def test_custom_ladder_skips_omitted_tiers(self, snap0):
-        """A hit+cold ladder never consults policy/refresh machinery, and its
-        stats mapping carries exactly its own tier names."""
-        ladder = ResolutionLadder(stages=(HitTier(), ColdTier()))
-        planner = QueryPlanner(ladder=ladder, result_cache=0)
-        assert planner.ladder.tier_names() == ("hit", "cold")
-        first = planner.run(all_measure_batch(snap0)).stats
-        again = planner.run(all_measure_batch(snap0)).stats
-        assert tuple(first.resolutions) == ("hit", "cold")
-        assert first.resolutions["cold"] == first.groups
-        assert again.resolutions["hit"] == again.groups
-
-    def test_ladder_rejects_degenerate_shapes(self):
-        with pytest.raises(MeasureError):
-            ResolutionLadder(stages=())
-        with pytest.raises(MeasureError):
-            ResolutionLadder(stages=(HitTier(), HitTier(), ColdTier()))
-
-    def test_default_stages_fuses_hit_and_store_restore(self):
-        stages = default_stages()
-        assert isinstance(stages[0][0], HitTier)
-        assert isinstance(stages[0][1], StoreRestoreTier)
-        kinds = tuple(type(stage[0]) for stage in stages[1:])
-        assert kinds == (VerbatimReuseTier, CorrectedReuseTier, RefreshTier, ColdTier)
-
 
 class TestServerResolutions:
     def test_stats_collector_accumulates_per_tier(self):
@@ -280,7 +264,7 @@ class TestCounterSurfaces:
 
 
 # ---------------------------------------------------------------------- #
-# 3. Localized SALSA deltas == full composed-matrix diff, exactly
+# 3. Localized system deltas == full composed-matrix diff, exactly
 # ---------------------------------------------------------------------- #
 def _edges(n, seed_edges):
     """Normalize a raw hypothesis edge draw into a valid directed edge set."""
@@ -311,47 +295,41 @@ def digraph_evolutions(draw):
     )
 
 
+def _assert_bitwise_full_diff(before, after, kind, damping):
+    localized = system_delta(before, after, kind, damping)
+    full = measure_matrix(before, kind, damping).delta_entries(
+        measure_matrix(after, kind, damping)
+    )
+    assert set(localized) == set(full)
+    for position, value in full.items():
+        assert localized[position].hex() == value.hex(), position
+
+
 class TestLocalizedSalsaDelta:
     @settings(max_examples=60, deadline=None)
     @given(evolution=digraph_evolutions(), damping=st.sampled_from([0.3, 0.85]),
-           kind=st.sampled_from([MatrixKind.SALSA_AUTHORITY, MatrixKind.SALSA_HUB]))
+           kind=st.sampled_from(list(MatrixKind)))
     def test_localized_equals_full_diff_bitwise(self, evolution, damping, kind):
         before, after = evolution
-        localized = system_delta(before, after, kind, damping)
-        full = measure_matrix(before, kind, damping).delta_entries(
-            measure_matrix(after, kind, damping)
-        )
-        assert set(localized) == set(full)
-        for position, value in full.items():
-            assert localized[position].hex() == value.hex(), position
+        _assert_bitwise_full_diff(before, after, kind, damping)
 
     def test_empty_delta_short_circuits(self, tiny_graph):
         assert system_delta(tiny_graph, tiny_graph, MatrixKind.SALSA_AUTHORITY) == {}
 
     def test_registry_covers_all_refreshable_kinds(self):
-        kinds = registered_delta_kinds()
-        for kind in (MatrixKind.RANDOM_WALK, MatrixKind.SYMMETRIC_WALK,
-                     MatrixKind.LAPLACIAN, MatrixKind.SALSA_AUTHORITY,
-                     MatrixKind.SALSA_HUB):
-            assert kind in kinds
-            assert callable(delta_provider(kind))
+        """The per-kind dispatch is closed: every MatrixKind has a provider,
+        so a new enum member without one fails here."""
+        before = GraphSnapshot(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
+        after = GraphSnapshot(4, [(0, 1), (1, 2), (2, 0), (3, 0)], directed=True)
+        for kind in MatrixKind:
+            _assert_bitwise_full_diff(before, after, kind, 0.5)
 
     def test_register_rejects_non_kind(self):
+        """A kind from outside the enum is rejected, not silently dispatched."""
+        before = GraphSnapshot(3, [(0, 1)], directed=True)
+        after = GraphSnapshot(3, [(0, 2)], directed=True)
         with pytest.raises(MeasureError):
-            register_delta_provider("random_walk", lambda *a: {})
-
-    def test_custom_provider_round_trip(self):
-        """Registering a replacement provider reroutes system_delta dispatch."""
-        kind = MatrixKind.RANDOM_WALK
-        original = delta_provider(kind)
-        sentinel = {(0, 0): 42.0}
-        try:
-            register_delta_provider(kind, lambda *args: dict(sentinel))
-            before = GraphSnapshot(3, [(0, 1)], directed=True)
-            after = GraphSnapshot(3, [(0, 2)], directed=True)
-            assert system_delta(before, after, kind, 0.5) == sentinel
-        finally:
-            register_delta_provider(kind, original)
+            system_delta(before, after, "random_walk", 0.5)
 
 
 # ---------------------------------------------------------------------- #
@@ -430,6 +408,5 @@ class TestLayering:
         # Top-level package surface.
         for name in ("FactorCache", "ResultCache", "ApproximationRecord",
                      "QueryPlanner", "ResolutionLadder", "ResolutionTier",
-                     "system_delta", "register_delta_provider",
-                     "delta_provider", "registered_delta_kinds"):
+                     "system_delta"):
             assert hasattr(repro, name), name

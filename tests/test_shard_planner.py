@@ -7,6 +7,7 @@ import pytest
 from repro.errors import MeasureError
 from repro.graphs.snapshot import GraphSnapshot
 from repro.query import QueryBatch, QueryPlanner
+from repro.query.resolution import TIER_NAMES
 from repro.query.spec import make_query
 from repro.shard import ShardedPlanner
 from repro.shard.arena import leaked_segments
@@ -36,6 +37,7 @@ def test_small_batch_matches_serial_and_ships_no_members():
             a.tobytes() for a in serial.results
         ]
         assert dict(sharded.stats.resolutions) == dict(serial.stats.resolutions)
+        assert tuple(sharded.stats.resolutions) == TIER_NAMES
         assert sharded.stats.groups == serial.stats.groups
 
         info = planner.dispatch_info()
