@@ -32,8 +32,8 @@ from repro.exec.executors import Executor, reduce_timings, resolve_executor
 from repro.exec.plan import plan_clustered
 from repro.lu.bennett import bennett_update
 from repro.lu.crout import crout_decompose_into
+from repro.lu.factors import LUFactors
 from repro.lu.markowitz import markowitz_ordering
-from repro.lu.static_structure import StaticLUFactors
 from repro.lu.symbolic import symbolic_decomposition
 from repro.sparse.csr import SparseMatrix
 from repro.sparse.pattern import SparsityPattern
@@ -83,7 +83,7 @@ def decompose_cluster_clude(
     with stopwatch.time("symbolic"):
         reordered_union = ordering.apply(union_matrix)
         ussp = symbolic_decomposition(reordered_union.pattern())
-        static_factors = StaticLUFactors(ussp)
+        static_factors = LUFactors.sealed(ussp)
 
     decompositions: List[MatrixDecomposition] = []
     with stopwatch.time("decomposition"):
@@ -109,12 +109,12 @@ def decompose_cluster_clude(
 def _make_decomposition(
     index: int,
     ordering: Ordering,
-    static_factors: StaticLUFactors,
+    static_factors: LUFactors,
     cluster_id: int,
     share_factors: bool,
 ) -> MatrixDecomposition:
     """Package the current state of the static factors as a decomposition record."""
-    factors = static_factors if share_factors else _snapshot_static(static_factors)
+    factors = static_factors if share_factors else static_factors.copy()
     return MatrixDecomposition(
         index=index,
         ordering=ordering,
@@ -123,19 +123,6 @@ def _make_decomposition(
         cluster_id=cluster_id,
         structural_ops=0,
     )
-
-
-def _snapshot_static(static_factors: StaticLUFactors) -> StaticLUFactors:
-    """Return a value copy of a static structure (same pattern, copied values)."""
-    clone = StaticLUFactors(static_factors.pattern)
-    for i, j, value in static_factors.l_items():
-        if i == j:
-            clone.set_l_diagonal(i, value)
-        else:
-            clone.l_set(i, j, value)
-    for i, j, value in static_factors.u_items():
-        clone.u_set(i, j, value)
-    return clone
 
 
 def decompose_sequence_clude(

@@ -21,7 +21,6 @@ from repro.lu.solve import (
     solve_reordered_system,
     solve_reordered_system_many,
 )
-from repro.lu.static_structure import StaticLUFactors
 from repro.lu.symbolic import (
     fill_in_count,
     fill_in_pattern,
@@ -32,7 +31,6 @@ from repro.lu.validate import factors_are_valid, reconstruction_error, solve_res
 
 __all__ = [
     "LUFactors",
-    "StaticLUFactors",
     "crout_decompose",
     "crout_decompose_into",
     "crout_decompose_dense",

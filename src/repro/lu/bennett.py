@@ -21,33 +21,42 @@ Per elimination step ``k`` the rank-1 sweep applies (with ``d = L[k, k]``)::
     u[i]'     = (d u[i] - u[k] L[i, k]) / d'           (i > k)
     v[j]'     = v[j] - v[k] U[k, j]                    (j > k)
 
-Two execution paths share these formulas:
+One sweep applies these formulas to either mode of
+:class:`~repro.lu.factors.LUFactors`, reading and writing its per-column
+``L`` and per-row ``U`` lists directly.  It visits only the *active* steps —
+those where ``u[k]`` or ``v[k]`` is non-zero — by popping the next pending
+index from a min-heap; every index it adds to ``u`` or ``v`` lies past the
+current step.  The two modes differ only in where a value may land:
 
-* the *generic* path drives any factor container through its protocol
-  methods — used for the dynamic adjacency-list factors of INC and CINC,
-  where every newly created non-zero costs a structural list operation;
-* the *static* fast path addresses the pre-allocated slot arrays of
-  :class:`~repro.lu.static_structure.StaticLUFactors` directly — the payoff
-  of CLUDE's universal static structure is exactly that updates become pure
-  in-place numeric writes.
+* growable factors store non-zeros only.  A stored value that falls below
+  ``DROP_TOLERANCE`` is removed, a new non-zero of at least that size is
+  merged in, and each column or row that changes shape is rebuilt in one
+  pass; every insert and removal counts in ``structural_ops``.  This is the
+  restructuring cost the paper measures for INC and CINC.
+* sealed factors (CLUDE's USSP structure) keep every slot, zeros included,
+  and are written in place.  A fill outside the pattern larger than
+  ``OUTSIDE_PATTERN_TOLERANCE`` raises :class:`~repro.errors.PatternError`;
+  smaller ones are floating-point residue of exact zeros and are skipped.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heappop, heappush
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import PatternError, SingularMatrixError
-from repro.lu.static_structure import StaticLUFactors
+from repro.lu.factors import LUFactors
 from repro.sparse.types import Entries
 
 #: Pivots whose updated magnitude falls below this threshold abort the update.
 PIVOT_TOLERANCE = 1e-12
 
-#: Updated values whose magnitude falls below this threshold are stored as
-#: exact zeros, preventing the dynamic structures from accumulating noise.
+#: Updated values whose magnitude falls below this threshold are treated as
+#: exact zeros (and leave growable lists), preventing noise from accumulating.
 DROP_TOLERANCE = 1e-14
 
-#: A value that "wants" to land outside a static structure's admissible
+#: A value that "wants" to land outside a sealed structure's admissible
 #: pattern is tolerated (skipped) when smaller than this — such values are
 #: floating-point residue of positions that are exactly zero in exact
 #: arithmetic.  Anything larger indicates a genuine pattern violation.
@@ -97,8 +106,22 @@ def _clean_vector(vector: SparseVector, n: int) -> SparseVector:
     return cleaned
 
 
+def _restructure(indices: List[int], values: List[float], fills) -> int:
+    """Drop zeroed entries of one growable list and merge ``fills`` into it.
+
+    Returns the number of structural operations (removals plus inserts).
+    """
+    kept = [entry for entry in zip(indices, values) if entry[1] != 0.0]
+    removed = len(indices) - len(kept)
+    kept.extend(fills)
+    kept.sort()
+    indices[:] = [index for index, _ in kept]
+    values[:] = [value for _, value in kept]
+    return removed + len(fills)
+
+
 def bennett_rank_one_update(
-    factors,
+    factors: LUFactors,
     u: SparseVector,
     v: SparseVector,
     pivot_tolerance: float = PIVOT_TOLERANCE,
@@ -109,7 +132,7 @@ def bennett_rank_one_update(
     Parameters
     ----------
     factors:
-        A factor container (dynamic or static) currently holding ``A = L U``.
+        Growable or sealed factors currently holding ``A = L U``.
     u, v:
         The rank-1 update vectors as sparse ``{index: value}`` mappings.
     pivot_tolerance:
@@ -124,198 +147,141 @@ def bennett_rank_one_update(
         The number of elimination steps that performed numerical work (a
         proxy for the cost of the sweep, useful in benchmarks).
     """
-    if isinstance(factors, StaticLUFactors):
-        return _rank_one_update_static(factors, u, v, pivot_tolerance, drop_tolerance)
-    return _rank_one_update_generic(factors, u, v, pivot_tolerance, drop_tolerance)
-
-
-def _rank_one_update_generic(
-    factors,
-    u: SparseVector,
-    v: SparseVector,
-    pivot_tolerance: float,
-    drop_tolerance: float,
-) -> int:
-    """Rank-1 sweep through the factor-container protocol (dynamic structures)."""
     n = factors.n
+    sealed = factors.is_sealed
+    pivots, l_rows, l_values, u_cols, u_values = factors.sweep_storage()
+    drop = drop_tolerance
+    # A growable list stores a value inside (-tiny, tiny) as 0.0 and then
+    # removes it; sealed slots keep whatever the formulas give.
+    tiny = -1.0 if sealed else drop_tolerance
+    neg_tiny = -tiny
+
     u_work = _clean_vector(u, n)
     v_work = _clean_vector(v, n)
+    u_get = u_work.get
+    v_get = v_work.get
+    # Every key of u_work / v_work is queued; a stale or repeated index pops
+    # with both work vectors empty there and is skipped.
+    pending = sorted(u_work.keys() | v_work.keys())
 
     active_steps = 0
-    for k in range(n):
+    while pending:
+        k = heappop(pending)
         uk = u_work.pop(k, 0.0)
         vk = v_work.pop(k, 0.0)
         if uk == 0.0 and vk == 0.0:
             continue
         active_steps += 1
-        d_old = factors.l_diagonal(k)
+        d_old = pivots[k]
         d_new = d_old + uk * vk
-        if abs(d_new) <= pivot_tolerance:
+        if -pivot_tolerance <= d_new <= pivot_tolerance:
             raise SingularMatrixError(k, d_new)
-        factors.set_l_diagonal(k, d_new)
+        pivots[k] = d_new
 
         # ----- column k of L, and propagation of u ---------------------- #
-        column = factors.l_column_entries(k)
-        stored_rows = set()
-        for i, l_old in column:
-            stored_rows.add(i)
-            ui_old = u_work.get(i, 0.0)
-            if l_old == 0.0 and ui_old == 0.0:
-                continue
-            if vk != 0.0 and ui_old != 0.0:
-                l_new = l_old + vk * ui_old
-                if abs(l_new) < drop_tolerance:
-                    l_new = 0.0
-                factors.l_set(i, k, l_new)
-            if uk != 0.0:
-                ui_new = (d_old * ui_old - uk * l_old) / d_new
-                if abs(ui_new) < drop_tolerance:
-                    u_work.pop(i, None)
+        rows = l_rows[k]
+        values = l_values[k]
+        missing = ()
+        if uk == 0.0:
+            # u stays put; only positions where u is non-zero change.
+            missing = []
+            for i, ui in u_work.items():
+                slot = bisect_left(rows, i)
+                if slot < len(rows) and rows[slot] == i:
+                    l_new = values[slot] + vk * ui
+                    values[slot] = 0.0 if neg_tiny < l_new < tiny else l_new
                 else:
+                    missing.append(i)
+        else:
+            # u's non-zeros outside the column are rare (an exact fill lands
+            # inside the pattern), so count the ones inside it first.
+            outside = len(u_work)
+            for slot, i in enumerate(rows):
+                l_old = values[slot]
+                ui_old = u_get(i, 0.0)
+                if ui_old != 0.0:
+                    outside -= 1
+                    if vk != 0.0:
+                        l_new = l_old + vk * ui_old
+                        values[slot] = 0.0 if neg_tiny < l_new < tiny else l_new
+                elif l_old == 0.0:
+                    continue
+                ui_new = (d_old * ui_old - uk * l_old) / d_new
+                if -drop < ui_new < drop:
+                    if ui_old != 0.0:
+                        del u_work[i]
+                else:
+                    if ui_old == 0.0:
+                        heappush(pending, i)
                     u_work[i] = ui_new
-        for i in [index for index in u_work if index > k and index not in stored_rows]:
+            if vk != 0.0 and outside:
+                stored = set(rows)
+                missing = [i for i in u_work if i not in stored]
+        fills = []
+        rescale = uk != 0.0 and d_new != d_old
+        for i in missing:
             ui_old = u_work[i]
-            if vk != 0.0:
-                fill_value = vk * ui_old
-                if abs(fill_value) >= drop_tolerance:
-                    factors.l_set(i, k, fill_value)
-            if uk != 0.0 and d_new != d_old:
+            fill_value = vk * ui_old
+            if sealed:
+                if abs(fill_value) > OUTSIDE_PATTERN_TOLERANCE:
+                    raise PatternError(
+                        f"fill-in at ({i}, {k}) falls outside the universal pattern"
+                    )
+            elif abs(fill_value) >= drop:
+                fills.append((i, fill_value))
+            if rescale:
                 ui_new = d_old * ui_old / d_new
-                if abs(ui_new) < drop_tolerance:
+                if -drop < ui_new < drop:
                     del u_work[i]
                 else:
                     u_work[i] = ui_new
+        if not sealed and (fills or 0.0 in values):
+            factors.structural_ops += _restructure(rows, values, fills)
 
         # ----- row k of U, and propagation of v -------------------------- #
-        row = factors.u_row_entries(k)
-        stored_columns = set()
-        for j, u_kj_old in row:
-            stored_columns.add(j)
-            vj_old = v_work.get(j, 0.0)
-            if u_kj_old == 0.0 and vj_old == 0.0:
+        cols = u_cols[k]
+        row_values = u_values[k]
+        outside = len(v_work)
+        for slot, j in enumerate(cols):
+            u_kj_old = row_values[slot]
+            vj_old = v_get(j, 0.0)
+            if vj_old != 0.0:
+                outside -= 1
+            elif u_kj_old == 0.0:
                 continue
+            if vk != 0.0 and u_kj_old != 0.0:
+                vj_new = vj_old - vk * u_kj_old
+                if -drop < vj_new < drop:
+                    if vj_old != 0.0:
+                        del v_work[j]
+                else:
+                    if vj_old == 0.0:
+                        heappush(pending, j)
+                    v_work[j] = vj_new
             if uk != 0.0:
                 u_kj_new = (d_old * u_kj_old + uk * vj_old) / d_new
-                if abs(u_kj_new) < drop_tolerance:
-                    u_kj_new = 0.0
-                factors.u_set(k, j, u_kj_new)
-            elif d_new != d_old and u_kj_old != 0.0:
-                factors.u_set(k, j, d_old * u_kj_old / d_new)
-            if vk != 0.0 and u_kj_old != 0.0:
-                vj_new = vj_old - vk * u_kj_old
-                if abs(vj_new) < drop_tolerance:
-                    v_work.pop(j, None)
-                else:
-                    v_work[j] = vj_new
-        if uk != 0.0:
-            for j in [index for index in v_work if index > k and index not in stored_columns]:
-                fill_value = uk * v_work[j] / d_new
-                if abs(fill_value) >= drop_tolerance:
-                    factors.u_set(k, j, fill_value)
-    return active_steps
-
-
-def _rank_one_update_static(
-    factors: StaticLUFactors,
-    u: SparseVector,
-    v: SparseVector,
-    pivot_tolerance: float,
-    drop_tolerance: float,
-) -> int:
-    """Rank-1 sweep specialised for the pre-allocated CLUDE structure.
-
-    Every write lands in an existing slot, addressed directly — no list
-    scanning, no node insertion, no per-write position lookup beyond a slot
-    dictionary probe for the (rare) values arriving at a previously-zero
-    position.
-    """
-    n = factors.n
-    l_col_rows = factors._l_col_rows
-    l_col_values = factors._l_col_values
-    l_col_slot = factors._l_col_slot
-    u_row_cols = factors._u_row_cols
-    u_row_values = factors._u_row_values
-    u_row_slot = factors._u_row_slot
-    diagonal = factors._diagonal
-
-    u_work = _clean_vector(u, n)
-    v_work = _clean_vector(v, n)
-
-    active_steps = 0
-    for k in range(n):
-        uk = u_work.pop(k, 0.0)
-        vk = v_work.pop(k, 0.0)
-        if uk == 0.0 and vk == 0.0:
-            continue
-        active_steps += 1
-        d_old = float(diagonal[k])
-        d_new = d_old + uk * vk
-        if abs(d_new) <= pivot_tolerance:
-            raise SingularMatrixError(k, d_new)
-        diagonal[k] = d_new
-
-        # ----- column k of L, and propagation of u ---------------------- #
-        rows = l_col_rows[k]
-        values = l_col_values[k]
-        slot_of = l_col_slot[k]
-        for slot in range(len(rows)):
-            i = rows[slot]
-            l_old = values[slot]
-            ui_old = u_work.get(i, 0.0)
-            if l_old == 0.0 and ui_old == 0.0:
-                continue
-            if vk != 0.0 and ui_old != 0.0:
-                values[slot] = l_old + vk * ui_old
-            if uk != 0.0:
-                ui_new = (d_old * ui_old - uk * l_old) / d_new
-                if abs(ui_new) < drop_tolerance:
-                    u_work.pop(i, None)
-                else:
-                    u_work[i] = ui_new
-        for i in [index for index in u_work if index > k and index not in slot_of]:
-            ui_old = u_work[i]
-            if vk != 0.0 and abs(vk * ui_old) > OUTSIDE_PATTERN_TOLERANCE:
-                raise PatternError(
-                    f"fill-in at ({i}, {k}) falls outside the universal pattern"
-                )
-            if uk != 0.0 and d_new != d_old:
-                ui_new = d_old * ui_old / d_new
-                if abs(ui_new) < drop_tolerance:
-                    del u_work[i]
-                else:
-                    u_work[i] = ui_new
-
-        # ----- row k of U, and propagation of v -------------------------- #
-        cols = u_row_cols[k]
-        row_values = u_row_values[k]
-        slot_of_u = u_row_slot[k]
-        for slot in range(len(cols)):
-            j = cols[slot]
-            u_kj_old = row_values[slot]
-            vj_old = v_work.get(j, 0.0)
-            if u_kj_old == 0.0 and vj_old == 0.0:
-                continue
-            if uk != 0.0:
-                row_values[slot] = (d_old * u_kj_old + uk * vj_old) / d_new
-            elif d_new != d_old and u_kj_old != 0.0:
-                row_values[slot] = d_old * u_kj_old / d_new
-            if vk != 0.0 and u_kj_old != 0.0:
-                vj_new = vj_old - vk * u_kj_old
-                if abs(vj_new) < drop_tolerance:
-                    v_work.pop(j, None)
-                else:
-                    v_work[j] = vj_new
-        if uk != 0.0:
-            for j in [index for index in v_work if index > k and index not in slot_of_u]:
-                if abs(uk * v_work[j] / d_new) > OUTSIDE_PATTERN_TOLERANCE:
-                    raise PatternError(
-                        f"fill-in at ({k}, {j}) falls outside the universal pattern"
-                    )
+                row_values[slot] = 0.0 if neg_tiny < u_kj_new < tiny else u_kj_new
+        fills = []
+        if uk != 0.0 and outside:
+            stored = set(cols)
+            for j, vj in v_work.items():
+                if j in stored:
+                    continue
+                fill_value = uk * vj / d_new
+                if sealed:
+                    if abs(fill_value) > OUTSIDE_PATTERN_TOLERANCE:
+                        raise PatternError(
+                            f"fill-in at ({k}, {j}) falls outside the universal pattern"
+                        )
+                elif abs(fill_value) >= drop:
+                    fills.append((j, fill_value))
+        if not sealed and (fills or 0.0 in row_values):
+            factors.structural_ops += _restructure(cols, row_values, fills)
     return active_steps
 
 
 def bennett_update(
-    factors,
+    factors: LUFactors,
     delta: Entries,
     pivot_tolerance: float = PIVOT_TOLERANCE,
     drop_tolerance: float = DROP_TOLERANCE,

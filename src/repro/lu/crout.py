@@ -12,9 +12,9 @@ The decomposition follows the two-phase split of Section 2.3 of the paper:
 
 * SD-phase — a symbolic decomposition determines ``s̃p(A)``, which bounds all
   positions the factors can occupy;
-* ND-phase — numeric values are computed row by row and written into a factor
-  container (either the dynamic :class:`~repro.lu.factors.LUFactors` or the
-  static CLUDE structure).
+* ND-phase — numeric values are computed row by row and written into an
+  :class:`~repro.lu.factors.LUFactors` container (growable, or CLUDE's sealed
+  USSP structure).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def crout_decompose(
     pattern: Optional[SparsityPattern] = None,
     pivot_tolerance: float = PIVOT_TOLERANCE,
 ) -> LUFactors:
-    """Decompose ``matrix`` into fresh dynamic LU factors.
+    """Decompose ``matrix`` into fresh growable LU factors.
 
     Parameters
     ----------
@@ -59,23 +59,22 @@ def crout_decompose(
 
 def crout_decompose_into(
     matrix: SparseMatrix,
-    factors,
+    factors: LUFactors,
     pattern: Optional[SparsityPattern] = None,
     pivot_tolerance: float = PIVOT_TOLERANCE,
 ) -> None:
     """Decompose ``matrix`` writing the factors into an existing container.
 
-    The container may be a dynamic :class:`~repro.lu.factors.LUFactors` or a
-    :class:`~repro.lu.static_structure.StaticLUFactors` whose admissible
-    pattern covers ``s̃p(matrix)`` (this is what CLUDE does for the first
-    matrix of each cluster).
+    The container may be growable or sealed over a pattern that covers
+    ``s̃p(matrix)`` (this is what CLUDE does for the first matrix of each
+    cluster).
 
     Parameters
     ----------
     matrix:
         The matrix to decompose.
     factors:
-        Destination container implementing the LU-factor protocol.
+        Destination :class:`~repro.lu.factors.LUFactors`.
     pattern:
         Optional symbolic sparsity pattern to use for the working rows; when
         absent it is computed from ``matrix``.  A larger pattern (e.g. a

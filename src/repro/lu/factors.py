@@ -1,141 +1,242 @@
-"""Containers for LU factors.
+"""The LU factor container.
 
 The paper stores the decomposed matrix ``Â = L + U`` in adjacency lists
 (Figure 4).  The library uses Crout's convention throughout: ``L`` is lower
 triangular and carries the pivots on its diagonal, ``U`` is *unit* upper
 triangular (its unit diagonal is implicit and never stored).
 
-Two interchangeable containers implement the same informal protocol:
+:class:`LUFactors` keeps the pivots in their own list, ``L`` strictly below
+the diagonal as sorted per-column ``(rows, values)`` lists and ``U`` strictly
+right of the diagonal as sorted per-row ``(cols, values)`` lists — the layout
+the triangular sweeps read (:class:`~repro.sparse.kernels.SweepStorage`) and
+Bennett's sweep (:mod:`repro.lu.bennett`) writes in place.  Its constructor
+sets one of two modes:
 
-* :class:`LUFactors` (this module) — the *dynamic* representation used by
-  BF, INC and CINC.  ``L`` is held column-by-column and ``U`` row-by-row in
-  :class:`~repro.sparse.lil.AdjacencyListMatrix` adjacency lists whose
-  structure grows and shrinks as values appear and vanish.  Structural list
-  operations are counted, which is how the benchmarks surface the paper's
+* **growable** — ``LUFactors(n)``, used by BF, INC, CINC and the serving
+  caches.  Only non-zeros are stored: a value that becomes zero leaves its
+  list, a new non-zero is merged in, and each insert or removal counts in
+  :attr:`LUFactors.structural_ops` — how the benchmarks surface the paper's
   observation that restructuring dominates a naive incremental update.
-* :class:`~repro.lu.static_structure.StaticLUFactors` — the CLUDE
-  representation: one pre-allocated structure derived from a cluster's
-  universal symbolic sparsity pattern, reused by every member matrix, with
-  no structural operations at all.
+* **sealed** — ``LUFactors.sealed(pattern)``, CLUDE's structure: one slot
+  per position of a cluster's universal symbolic sparsity pattern (USSP),
+  reused by every member matrix.  Slots keep their position when their
+  value is zero, a write outside the pattern raises
+  :class:`~repro.errors.PatternError`, and ``structural_ops`` stays 0.
 
-The shared protocol (used by Crout, Bennett and the triangular solvers):
-
-``l_get(i, j)``, ``l_set(i, j, v)``, ``u_get(i, j)``, ``u_set(i, j, v)``,
-``l_column_entries(j)`` (strictly-below-diagonal entries of column ``j``),
-``u_row_entries(i)`` (strictly-right-of-diagonal entries of row ``i``),
-``l_diagonal(k)`` / ``set_l_diagonal(k, v)``, ``sweep_storage()`` (the
-native storage read by the triangular sweeps), ``fill_size``,
-``structural_ops``, ``decomposed_pattern()``.
+Element access (``l_get``/``l_set``/``u_get``/``u_set``,
+``l_diagonal``/``set_l_diagonal``) and the entry views
+(``l_column_entries``/``u_row_entries``) serve Crout, the store and the
+tests; the sweeps read and write the lists directly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.errors import DimensionError
+from repro.errors import DimensionError, PatternError
 from repro.sparse.csr import SparseMatrix
 from repro.sparse.kernels import SweepStorage, solve_factored_many
-from repro.sparse.lil import AdjacencyListMatrix
 from repro.sparse.pattern import SparsityPattern
 
 
 class LUFactors:
-    """LU factors stored in dynamic adjacency lists.
+    """LU factors in per-column (``L``) and per-row (``U``) sorted lists.
 
-    ``L`` is stored column-major (the internal matrix ``_lower_t`` holds
-    ``L[i, j]`` at position ``(j, i)``), because both Bennett's algorithm and
-    the outer-product forward substitution sweep down columns of ``L``.
-    ``U`` is stored row-major.
+    ``LUFactors(n)`` is an empty growable container; :meth:`sealed` builds
+    the fixed slot structure of a USSP.  Reading any position is allowed
+    (absent positions read as 0.0, ``U``'s diagonal as 1.0).
     """
 
-    __slots__ = ("_n", "_lower_t", "_upper")
+    __slots__ = ("_n", "_sealed", "_pivots", "_l_rows", "_l_values",
+                 "_u_cols", "_u_values", "structural_ops")
 
     def __init__(self, n: int) -> None:
         if n < 0:
             raise DimensionError(f"matrix dimension must be non-negative, got {n}")
         self._n = n
-        self._lower_t = AdjacencyListMatrix(n)
-        self._upper = AdjacencyListMatrix(n)
+        self._sealed = False
+        self._pivots: List[float] = [0.0] * n
+        self._l_rows: List[List[int]] = [[] for _ in range(n)]
+        self._l_values: List[List[float]] = [[] for _ in range(n)]
+        self._u_cols: List[List[int]] = [[] for _ in range(n)]
+        self._u_values: List[List[float]] = [[] for _ in range(n)]
+        #: Inserts plus removals of list entries since construction or the
+        #: last :meth:`reset_counters` (always 0 for sealed factors).
+        self.structural_ops = 0
+
+    @classmethod
+    def sealed(cls, pattern: SparsityPattern) -> "LUFactors":
+        """The fixed structure of ``pattern`` (the cluster USSP), all values zero."""
+        n = pattern.n
+        l_rows: List[List[int]] = [[] for _ in range(n)]
+        u_cols: List[List[int]] = [[] for _ in range(n)]
+        for i, j in sorted(pattern):
+            if i > j:
+                l_rows[j].append(i)
+            elif j > i:
+                u_cols[i].append(j)
+        storage = SweepStorage(
+            [0.0] * n,
+            l_rows,
+            [[0.0] * len(rows) for rows in l_rows],
+            u_cols,
+            [[0.0] * len(cols) for cols in u_cols],
+        )
+        return cls.from_storage(storage, sealed=True)
+
+    @classmethod
+    def from_storage(cls, storage: SweepStorage, sealed: bool) -> "LUFactors":
+        """Adopt ready-made lists (no copy) as growable or sealed factors.
+
+        The caller guarantees the layout: indices ascend in every list, ``L``
+        rows lie below and ``U`` columns right of the diagonal, and growable
+        lists hold no zeros.
+        """
+        factors = cls.__new__(cls)
+        factors._n = len(storage.pivots)
+        factors._sealed = sealed
+        (factors._pivots, factors._l_rows, factors._l_values,
+         factors._u_cols, factors._u_values) = storage
+        factors.structural_ops = 0
+        return factors
 
     @property
     def n(self) -> int:
         """Matrix dimension."""
         return self._n
 
+    @property
+    def is_sealed(self) -> bool:
+        """Whether the structure is fixed (CLUDE) rather than growable."""
+        return self._sealed
+
+    @property
+    def capacity(self) -> int:
+        """Number of stored positions (pivots + strictly triangular entries)."""
+        return self._n + sum(map(len, self._l_rows)) + sum(map(len, self._u_cols))
+
     # ------------------------------------------------------------------ #
     # Element access
     # ------------------------------------------------------------------ #
+    def _check(self, i: int, j: int) -> None:
+        if not (0 <= i < self._n and 0 <= j < self._n):
+            raise DimensionError(
+                f"index ({i}, {j}) out of bounds for a {self._n}x{self._n} matrix"
+            )
+
+    def _write(self, indices: List[int], values: List[float], index: int,
+               value: float, where: Tuple[int, int]) -> None:
+        """Store ``value`` at ``index`` of one sorted list under the mode's rule."""
+        position = bisect_left(indices, index)
+        present = position < len(indices) and indices[position] == index
+        if self._sealed:
+            if not present:
+                raise PatternError(
+                    f"position {where} is outside the universal symbolic sparsity pattern"
+                )
+            values[position] = value
+        elif value == 0.0:
+            if present:
+                del indices[position]
+                del values[position]
+                self.structural_ops += 1
+        elif present:
+            values[position] = value
+        else:
+            indices.insert(position, index)
+            values.insert(position, value)
+            self.structural_ops += 1
+
+    @staticmethod
+    def _read(indices: List[int], values: List[float], index: int) -> float:
+        position = bisect_left(indices, index)
+        if position < len(indices) and indices[position] == index:
+            return values[position]
+        return 0.0
+
     def l_get(self, i: int, j: int) -> float:
         """Return ``L[i, j]`` (zero above the diagonal)."""
+        self._check(i, j)
         if j > i:
             return 0.0
-        return self._lower_t.get(j, i)
+        if i == j:
+            return self._pivots[i]
+        return self._read(self._l_rows[j], self._l_values[j], i)
 
     def l_set(self, i: int, j: int, value: float) -> None:
         """Set ``L[i, j]`` (requires ``j <= i``)."""
+        self._check(i, j)
         if j > i:
             raise DimensionError(f"L is lower triangular; cannot set ({i}, {j})")
-        self._lower_t.set(j, i, value)
+        if i == j:
+            self._pivots[i] = value
+        else:
+            self._write(self._l_rows[j], self._l_values[j], i, value, (i, j))
 
     def u_get(self, i: int, j: int) -> float:
         """Return ``U[i, j]`` including the implicit unit diagonal."""
+        self._check(i, j)
         if i == j:
             return 1.0
         if i > j:
             return 0.0
-        return self._upper.get(i, j)
+        return self._read(self._u_cols[i], self._u_values[i], j)
 
     def u_set(self, i: int, j: int, value: float) -> None:
         """Set ``U[i, j]`` for ``j > i`` (the unit diagonal is implicit)."""
+        self._check(i, j)
         if j <= i:
             raise DimensionError(
                 f"U stores strictly upper entries only; cannot set ({i}, {j})"
             )
-        self._upper.set(i, j, value)
+        self._write(self._u_cols[i], self._u_values[i], j, value, (i, j))
 
     def l_diagonal(self, k: int) -> float:
         """Return the pivot ``L[k, k]``."""
-        return self._lower_t.get(k, k)
+        return self._pivots[k]
 
     def set_l_diagonal(self, k: int, value: float) -> None:
         """Set the pivot ``L[k, k]``."""
-        self._lower_t.set(k, k, value)
+        self._pivots[k] = value
 
     # ------------------------------------------------------------------ #
     # Structured iteration
     # ------------------------------------------------------------------ #
     def l_column_entries(self, j: int) -> List[Tuple[int, float]]:
-        """Return ``[(i, L[i, j])]`` for stored entries strictly below the diagonal."""
-        return [(i, value) for i, value in self._lower_t.row_items(j) if i > j]
+        """Return ``[(i, L[i, j])]`` for stored positions strictly below the diagonal."""
+        return list(zip(self._l_rows[j], self._l_values[j]))
 
     def u_row_entries(self, i: int) -> List[Tuple[int, float]]:
-        """Return ``[(j, U[i, j])]`` for stored entries strictly right of the diagonal."""
-        return [(j, value) for j, value in self._upper.row_items(i) if j > i]
+        """Return ``[(j, U[i, j])]`` for stored positions strictly right of the diagonal."""
+        return list(zip(self._u_cols[i], self._u_values[i]))
 
     def l_items(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate over stored entries of ``L`` as ``(row, column, value)``."""
-        for j, i, value in self._lower_t.items():
-            yield i, j, value
+        """Iterate over non-zero entries of ``L`` (pivots first) as ``(row, column, value)``."""
+        for k, pivot in enumerate(self._pivots):
+            if pivot != 0.0:
+                yield k, k, pivot
+        for j in range(self._n):
+            for i, value in zip(self._l_rows[j], self._l_values[j]):
+                if value != 0.0:
+                    yield i, j, value
 
     def u_items(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate over stored entries of ``U`` (excluding the unit diagonal)."""
-        yield from self._upper.items()
+        """Iterate over non-zero entries of ``U`` (unit diagonal excluded)."""
+        for i in range(self._n):
+            for j, value in zip(self._u_cols[i], self._u_values[i]):
+                if value != 0.0:
+                    yield i, j, value
 
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
     def sweep_storage(self) -> SweepStorage:
-        """Return the adjacency lists as :class:`~repro.sparse.kernels.SweepStorage`.
-
-        A stored pivot is the first entry of its ``_lower_t`` row, so ``L``'s
-        entries start one past it; an absent (zero) pivot reads as 0.0.
-        """
-        rows, values = self._lower_t.row_lists()
-        l_first = [1 if column and column[0] == j else 0 for j, column in enumerate(rows)]
-        pivots = [head[0] if first else 0.0 for head, first in zip(values, l_first)]
-        return SweepStorage(pivots, l_first, rows, values, *self._upper.row_lists())
+        """Return the live lists (uncopied) as :class:`~repro.sparse.kernels.SweepStorage`."""
+        return SweepStorage(self._pivots, self._l_rows, self._l_values,
+                            self._u_cols, self._u_values)
 
     def solve_many(self, block) -> np.ndarray:
         """Solve ``(L U) X = B`` for a dense ``(n, k)`` block of right-hand sides.
@@ -151,21 +252,20 @@ class LUFactors:
     # ------------------------------------------------------------------ #
     @property
     def fill_size(self) -> int:
-        """Number of stored entries of ``L`` plus ``U`` (size of ``sp(Â)``)."""
-        return self._lower_t.nnz + self._upper.nnz
-
-    @property
-    def structural_ops(self) -> int:
-        """Structural list operations performed on either factor since the last reset."""
-        return self._lower_t.structural_ops + self._upper.structural_ops
+        """Number of non-zero entries of ``L`` plus ``U`` (size of ``sp(Â)``)."""
+        count = self._n - self._pivots.count(0.0)
+        for lists in (self._l_values, self._u_values):
+            count += sum(map(len, lists))
+            if self._sealed:
+                count -= sum(values.count(0.0) for values in lists)
+        return count
 
     def reset_counters(self) -> None:
-        """Reset structural operation counters on both factors."""
-        self._lower_t.reset_counters()
-        self._upper.reset_counters()
+        """Reset :attr:`structural_ops` to zero."""
+        self.structural_ops = 0
 
     def decomposed_pattern(self) -> SparsityPattern:
-        """Return ``sp(Â)``: positions of stored entries of ``L`` and ``U``."""
+        """Return ``sp(Â)``: positions of non-zero entries of ``L`` and ``U``."""
         indices = {(i, j) for i, j, _ in self.l_items()}
         indices.update((i, j) for i, j, _ in self.u_items())
         return SparsityPattern(self._n, indices)
@@ -192,11 +292,24 @@ class LUFactors:
         return SparseMatrix.from_dense(self.l_dense() @ self.u_dense())
 
     def copy(self) -> "LUFactors":
-        """Return a deep copy (structural counters reset)."""
-        clone = LUFactors(self._n)
-        clone._lower_t = self._lower_t.copy()
-        clone._upper = self._upper.copy()
-        return clone
+        """Return a value copy (structural counter reset).
+
+        Growable copies own every list.  A sealed structure never changes
+        shape, so sealed copies share the index lists and copy only values.
+        """
+        l_rows, u_cols = self._l_rows, self._u_cols
+        if not self._sealed:
+            l_rows = [list(rows) for rows in l_rows]
+            u_cols = [list(cols) for cols in u_cols]
+        storage = SweepStorage(
+            list(self._pivots),
+            l_rows,
+            [list(values) for values in self._l_values],
+            u_cols,
+            [list(values) for values in self._u_values],
+        )
+        return LUFactors.from_storage(storage, self._sealed)
 
     def __repr__(self) -> str:
-        return f"LUFactors(n={self._n}, fill_size={self.fill_size})"
+        mode = "sealed" if self._sealed else "growable"
+        return f"LUFactors(n={self._n}, {mode}, fill_size={self.fill_size})"

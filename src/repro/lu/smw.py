@@ -10,9 +10,8 @@ dominant rank-``k`` part of the delta — using only the cached factors of
     (A + U Vᵀ)⁻¹ b  =  A⁻¹ b  -  A⁻¹ U (I_k + Vᵀ A⁻¹ U)⁻¹ Vᵀ A⁻¹ b
 
 so after a one-time setup of ``Y = A⁻¹ U`` (one batched triangular sweep of
-``k`` columns through the cached factors — dynamic :class:`~repro.lu.factors.
-LUFactors` and static :class:`~repro.lu.static_structure.StaticLUFactors`
-alike) and the tiny ``k×k`` *capacitance* matrix ``C = I_k + Vᵀ Y``, every
+``k`` columns through the cached :class:`~repro.lu.factors.LUFactors`,
+growable or sealed alike) and the tiny ``k×k`` *capacitance* matrix ``C = I_k + Vᵀ Y``, every
 subsequent right-hand-side block costs exactly one extra rank-``k`` GEMM and
 one ``k×k`` dense solve on top of the ordinary substitution sweep.
 

@@ -1,14 +1,12 @@
-"""Sparse-matrix substrate: patterns, matrices, adjacency lists, orderings and kernels."""
+"""Sparse-matrix substrate: patterns, matrices, orderings and kernels."""
 
 from repro.sparse import kernels
 from repro.sparse.csr import SparseMatrix, column_normalized_adjacency
-from repro.sparse.lil import AdjacencyListMatrix
 from repro.sparse.pattern import SparsityPattern, matrix_edit_similarity
 from repro.sparse.permutation import Ordering, Permutation, natural_ordering, random_ordering
 
 __all__ = [
     "SparseMatrix",
-    "AdjacencyListMatrix",
     "SparsityPattern",
     "matrix_edit_similarity",
     "Ordering",

@@ -319,16 +319,13 @@ class SweepStorage(NamedTuple):
     """A factor container's native storage, as read by the triangular sweeps.
 
     ``pivots[j]`` is ``L[j, j]`` (0.0 when absent).  Column ``j`` of ``L``
-    strictly below the diagonal is ``l_rows[j][l_first[j]:]`` with values
-    ``l_values[j][l_first[j]:]`` — ``l_first[j]`` is 1 when a container
-    keeps the pivot at the head of that list, else 0.  Row ``i`` of the unit
-    upper ``U`` strictly right of the diagonal is ``u_cols[i]`` /
+    strictly below the diagonal is ``l_rows[j]`` / ``l_values[j]``; row ``i``
+    of the unit upper ``U`` strictly right of the diagonal is ``u_cols[i]`` /
     ``u_values[i]``.  Indices ascend within every list.  The lists are the
-    container's own storage and are only read.
+    container's own storage and the sweeps only read them.
     """
 
     pivots: List[float]
-    l_first: Sequence[int]
     l_rows: Sequence[Sequence[int]]
     l_values: Sequence[Sequence[float]]
     u_cols: Sequence[Sequence[int]]
@@ -337,7 +334,7 @@ class SweepStorage(NamedTuple):
     def is_narrow(self, k: int) -> bool:
         """Whether a ``k``-column block takes the narrow (scalar) sweep."""
         n = len(self.pivots)
-        stored = sum(map(len, self.l_rows)) - sum(self.l_first) + sum(map(len, self.u_cols))
+        stored = sum(map(len, self.l_rows)) + sum(map(len, self.u_cols))
         return k * (stored + n) <= NARROW_SWEEP_RATIO * n
 
 
@@ -353,7 +350,7 @@ def _as_rhs_block(n: int, block) -> np.ndarray:
 
 def _narrow(block: np.ndarray, storage: SweepStorage, forward: bool, backward: bool) -> None:
     """Sweep each column of ``block`` in place with Python float arithmetic."""
-    pivots, l_first, l_rows, l_values, u_cols, u_values = storage
+    pivots, l_rows, l_values, u_cols, u_values = storage
     n = len(pivots)
     for c in range(block.shape[1]):
         x = block[:, c].tolist()
@@ -361,18 +358,15 @@ def _narrow(block: np.ndarray, storage: SweepStorage, forward: bool, backward: b
             for j, pivot in enumerate(pivots):
                 xj = x[j] / pivot
                 x[j] = xj
-                rows = l_rows[j]
-                values = l_values[j]
-                for t in range(l_first[j], len(rows)):
-                    x[rows[t]] -= values[t] * xj
+                for i, value in zip(l_rows[j], l_values[j]):
+                    x[i] -= value * xj
         if backward:
             for i in range(n - 1, -1, -1):
                 cols = u_cols[i]
                 if cols:
-                    values = u_values[i]
                     xi = x[i]
-                    for t in range(len(cols) - 1, -1, -1):
-                        xi -= values[t] * x[cols[t]]
+                    for j, value in zip(reversed(cols), reversed(u_values[i])):
+                        xi -= value * x[j]
                     x[i] = xi
         block[:, c] = x
 
@@ -387,13 +381,13 @@ def _flatten(lists: Sequence[Sequence[int]], values: Sequence[Sequence[float]]):
 
 def _wide(block: np.ndarray, storage: SweepStorage, forward: bool, backward: bool) -> None:
     """Sweep all columns of ``block`` at once with per-column NumPy updates."""
-    pivots, l_first, l_rows, l_values, u_cols, u_values = storage
+    pivots, l_rows, l_values, u_cols, u_values = storage
     n = len(pivots)
     if forward:
         ptr, rows, vals = _flatten(l_rows, l_values)
         for j, pivot in enumerate(pivots):
             block[j] /= pivot
-            start, stop = ptr[j] + l_first[j], ptr[j + 1]
+            start, stop = ptr[j], ptr[j + 1]
             if start != stop:
                 block[rows[start:stop]] -= vals[start:stop, None] * block[j]
     if backward:

@@ -19,11 +19,10 @@ directory, fsynced, and :func:`os.replace`-d over the final name — a crash
 mid-checkpoint leaves either the old file or no file, never a torn one.
 
 The encoders are **bitwise round-trip exact**: every float64 is stored and
-restored by raw bytes (``-0.0`` and subnormals included), and both factor
-containers rebuild their structure deterministically (the dynamic adjacency
-lists keep their per-row lists sorted, the static structure sorts its slots
-from the pattern), so a decoded :class:`~repro.query.spec.FactorizedSystem`
-answers bitwise-identically to the one that was encoded.
+restored by raw bytes (``-0.0`` and subnormals included), and the factor
+lists are stored as they are held, growable or sealed, so a decoded
+:class:`~repro.query.spec.FactorizedSystem` answers bitwise-identically to
+the one that was encoded.
 """
 
 from __future__ import annotations
@@ -33,16 +32,16 @@ import json
 import os
 import struct
 import tempfile
-from typing import Dict, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import StoreFormatError
 from repro.lu.factors import LUFactors
-from repro.lu.static_structure import StaticLUFactors
 from repro.query.spec import FactorizedSystem
 from repro.sparse.csr import SparseMatrix
-from repro.sparse.pattern import SparsityPattern
+from repro.sparse.kernels import SweepStorage
 from repro.sparse.permutation import Ordering
 from repro.sparse.types import Entries
 
@@ -50,7 +49,7 @@ from repro.sparse.types import Entries
 MAGIC = b"RPFS"
 
 #: On-disk format version; bumped on any incompatible layout change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Only these dtypes ever appear in a payload (little-endian, fixed width).
 _ALLOWED_DTYPES = ("<i8", "<f8")
@@ -302,114 +301,78 @@ def _decode_ordering(
     )
 
 
-def _encode_dynamic_factors(
-    factors: LUFactors, arrays: Dict[str, np.ndarray]
+def _encode_factors(
+    factors: LUFactors, meta: Dict[str, object], arrays: Dict[str, np.ndarray]
 ) -> None:
-    """Store dynamic factors as two COO triples (deterministic iteration).
+    """Store the container's lists verbatim: pivots, then ``L`` and ``U``.
 
-    ``l_items`` / ``u_items`` iterate the adjacency lists in their canonical
-    sorted order, and the lists never store zeros (``set`` deletes them), so
-    the triples are exactly the stored entries and re-inserting them rebuilds
-    an identical structure (the per-row lists are kept sorted by ``bisect``,
-    making the final structure insertion-order independent).
+    Each of ``L``'s columns and ``U``'s rows is stored as its length, its
+    sorted indices and its values.  For sealed factors the indices are the
+    slot pattern and zero-valued slots are part of the state (``-0.0`` is a
+    distinct bit pattern); growable lists hold only non-zeros.  Decoding
+    adopts the same lists, so the rebuilt container is identical.
     """
-    l_triples = list(factors.l_items())
-    u_triples = list(factors.u_items())
-    for prefix, triples in (("l", l_triples), ("u", u_triples)):
-        rows = np.fromiter((i for i, _, _ in triples), np.int64, len(triples))
-        cols = np.fromiter((j for _, j, _ in triples), np.int64, len(triples))
-        vals = np.fromiter((v for _, _, v in triples), np.float64, len(triples))
-        arrays[f"{prefix}_rows"] = rows
-        arrays[f"{prefix}_cols"] = cols
-        arrays[f"{prefix}_vals"] = vals
+    pivots, l_rows, l_values, u_cols, u_values = factors.sweep_storage()
+    meta["sealed"] = factors.is_sealed
+    arrays["pivots"] = np.array(pivots, dtype=np.float64)
+    for prefix, indices, values in (("l", l_rows, l_values), ("u", u_cols, u_values)):
+        lengths = [len(slice_) for slice_ in indices]
+        total = sum(lengths)
+        arrays[f"{prefix}_lengths"] = np.array(lengths, dtype=np.int64)
+        arrays[f"{prefix}_indices"] = np.fromiter(
+            chain.from_iterable(indices), np.int64, total
+        )
+        arrays[f"{prefix}_values"] = np.fromiter(
+            chain.from_iterable(values), np.float64, total
+        )
 
 
-def _decode_dynamic_factors(
-    n: int, arrays: Mapping[str, np.ndarray]
+def _decode_lists(
+    n: int, arrays: Mapping[str, np.ndarray], prefix: str, sealed: bool
+) -> Tuple[List[List[int]], List[List[float]]]:
+    """Split one factor's flat arrays back into validated per-slice lists."""
+    lengths = arrays[f"{prefix}_lengths"]
+    indices = arrays[f"{prefix}_indices"]
+    values = arrays[f"{prefix}_values"]
+    _require(lengths.size == n, f"{prefix} lengths have the wrong size")
+    _require(bool(np.all(lengths >= 0)), f"{prefix} lengths are negative")
+    _require(
+        indices.size == values.size == int(lengths.sum()),
+        f"{prefix} index/value arrays disagree with the lengths",
+    )
+    _require(
+        sealed or not np.any(values == 0.0),
+        "growable factors must not store explicit zeros",
+    )
+    # Slice k owns its entries; every index lies past k (strictly below or
+    # right of the diagonal), below n, and ascends within the slice.
+    owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    ascending = np.diff(indices)[owner[1:] == owner[:-1]] > 0
+    _require(
+        bool(np.all(indices > owner) and np.all(indices < n) and np.all(ascending)),
+        f"{prefix} indices are out of range or unsorted",
+    )
+    bounds = np.cumsum(lengths).tolist()
+    flat_indices = indices.tolist()
+    flat_values = values.tolist()
+    index_lists = [flat_indices[stop - length:stop]
+                   for stop, length in zip(bounds, lengths.tolist())]
+    value_lists = [flat_values[stop - length:stop]
+                   for stop, length in zip(bounds, lengths.tolist())]
+    return index_lists, value_lists
+
+
+def _decode_factors(
+    n: int, meta: Mapping[str, object], arrays: Mapping[str, np.ndarray]
 ) -> LUFactors:
-    factors = LUFactors(n)
-    l_rows, l_cols, l_vals = arrays["l_rows"], arrays["l_cols"], arrays["l_vals"]
-    _require(
-        l_rows.size == l_cols.size == l_vals.size, "L arrays disagree in length"
-    )
-    for k in range(l_rows.size):
-        i, j = int(l_rows[k]), int(l_cols[k])
-        value = float(l_vals[k])
-        _require(value != 0.0, "dynamic factors must not store explicit zeros")
-        if i == j:
-            factors.set_l_diagonal(i, value)
-        else:
-            factors.l_set(i, j, value)
-    u_rows, u_cols, u_vals = arrays["u_rows"], arrays["u_cols"], arrays["u_vals"]
-    _require(
-        u_rows.size == u_cols.size == u_vals.size, "U arrays disagree in length"
-    )
-    for k in range(u_rows.size):
-        value = float(u_vals[k])
-        _require(value != 0.0, "dynamic factors must not store explicit zeros")
-        factors.u_set(int(u_rows[k]), int(u_cols[k]), value)
-    factors.reset_counters()
-    return factors
-
-
-def _encode_static_factors(
-    factors: StaticLUFactors, arrays: Dict[str, np.ndarray]
-) -> None:
-    """Store the full slot arrays of a static structure, zeros included.
-
-    Zero-valued slots are part of the container's state (and ``-0.0`` is a
-    distinct bit pattern), so the flattened value arrays are stored verbatim
-    rather than as non-zero triples.  The pattern rebuilds the slot layout
-    deterministically (``StaticLUFactors.__init__`` sorts per column/row).
-    """
-    pattern = sorted(factors.pattern.indices)
-    arrays["pattern_rows"] = np.fromiter(
-        (i for i, _ in pattern), np.int64, len(pattern)
-    )
-    arrays["pattern_cols"] = np.fromiter(
-        (j for _, j in pattern), np.int64, len(pattern)
-    )
-    arrays["diag"] = factors._diagonal
-    arrays["l_values"] = np.array(
-        [value for values in factors._l_col_values for value in values],
-        dtype=np.float64,
-    )
-    arrays["u_values"] = np.array(
-        [value for values in factors._u_row_values for value in values],
-        dtype=np.float64,
-    )
-
-
-def _decode_static_factors(
-    n: int, arrays: Mapping[str, np.ndarray]
-) -> StaticLUFactors:
-    rows = arrays["pattern_rows"]
-    cols = arrays["pattern_cols"]
-    _require(rows.size == cols.size, "pattern arrays disagree in length")
-    pattern = SparsityPattern(
-        n, ((int(rows[k]), int(cols[k])) for k in range(rows.size))
-    )
-    factors = StaticLUFactors(pattern)
-    diag = arrays["diag"]
-    _require(diag.size == n, "diagonal has the wrong length")
-    factors._diagonal[:] = diag
-    l_values = arrays["l_values"]
-    offset = 0
-    for j in range(n):
-        width = len(factors._l_col_values[j])
-        _require(offset + width <= l_values.size, "L values shorter than the pattern")
-        factors._l_col_values[j] = [float(v) for v in l_values[offset:offset + width]]
-        offset += width
-    _require(offset == l_values.size, "L values longer than the pattern")
-    u_values = arrays["u_values"]
-    offset = 0
-    for i in range(n):
-        width = len(factors._u_row_values[i])
-        _require(offset + width <= u_values.size, "U values shorter than the pattern")
-        factors._u_row_values[i] = [float(v) for v in u_values[offset:offset + width]]
-        offset += width
-    _require(offset == u_values.size, "U values longer than the pattern")
-    return factors
+    sealed = meta.get("sealed")
+    _require(isinstance(sealed, bool), "missing factor mode flag")
+    pivots = arrays["pivots"]
+    _require(pivots.size == n, "pivots have the wrong length")
+    l_rows, l_values = _decode_lists(n, arrays, "l", sealed)
+    u_cols, u_values = _decode_lists(n, arrays, "u", sealed)
+    storage = SweepStorage(pivots.tolist(), l_rows, l_values, u_cols, u_values)
+    return LUFactors.from_storage(storage, sealed)
 
 
 # ---------------------------------------------------------------------- #
@@ -429,16 +392,11 @@ def encode_factorized_system(
     encode_matrix(system.matrix, arrays)
     _encode_ordering(system.ordering, meta, arrays)
     factors = system.factors
-    if isinstance(factors, LUFactors):
-        meta["factors"] = "dynamic"
-        _encode_dynamic_factors(factors, arrays)
-    elif isinstance(factors, StaticLUFactors):
-        meta["factors"] = "static"
-        _encode_static_factors(factors, arrays)
-    else:
+    if not isinstance(factors, LUFactors):
         raise StoreFormatError(
             f"unsupported factor container {type(factors).__name__}"
         )
+    _encode_factors(factors, meta, arrays)
     return meta, arrays
 
 
@@ -451,11 +409,5 @@ def decode_factorized_system(
     _require(n >= 0, "negative dimension")
     matrix = decode_matrix(n, arrays)
     ordering = _decode_ordering(meta, arrays)
-    container = meta.get("factors")
-    if container == "dynamic":
-        factors: object = _decode_dynamic_factors(n, arrays)
-    elif container == "static":
-        factors = _decode_static_factors(n, arrays)
-    else:
-        raise StoreFormatError(f"unknown factor container tag {container!r}")
+    factors = _decode_factors(n, meta, arrays)
     return FactorizedSystem(matrix, ordering, factors)

@@ -36,7 +36,7 @@ from repro.graphs.matrixkind import (
 )
 from repro.graphs.snapshot import GraphSnapshot
 from repro.lu.bennett import bennett_update
-from repro.lu.static_structure import StaticLUFactors
+from repro.lu.factors import LUFactors
 from repro.measures.timeseries import MeasureSeries
 from repro.query import (
     FactorCache,
@@ -46,6 +46,7 @@ from repro.query import (
     make_query,
     system_key,
 )
+from repro.sparse.csr import SparseMatrix
 from repro.sparse.pattern import SparsityPattern
 
 #: Refreshed answers agree with cold factorization to this tolerance.
@@ -284,7 +285,7 @@ class TestFactorCacheRefresh:
         from repro.exec.executors import SerialExecutor
         from repro.exec.plan import plan_refresh_batch
 
-        factors = StaticLUFactors(SparsityPattern(3, set()))
+        factors = LUFactors.sealed(SparsityPattern(3, set()))
         for k in range(3):
             factors.set_l_diagonal(k, 1.0)
         with pytest.raises(PatternError):
@@ -303,13 +304,13 @@ class TestCloneSemantics:
             algorithm="CLUDE", alpha=0.5,
         )
         factors = solver.decompose()[0].factors
-        assert isinstance(factors, StaticLUFactors)
+        assert isinstance(factors, LUFactors) and factors.is_sealed
         clone = factors.copy()
         clone.set_l_diagonal(0, 123.0)
         assert factors.l_diagonal(0) != 123.0
         # structure is shared, values are not
-        assert clone._l_col_rows is factors._l_col_rows
-        assert clone._l_col_values is not factors._l_col_values
+        assert clone.sweep_storage().l_rows is factors.sweep_storage().l_rows
+        assert clone.sweep_storage().l_values is not factors.sweep_storage().l_values
 
     def test_factorized_system_clone_isolates_solves(self, tiny_graph):
         system = FactorizedSystem.factorize(measure_matrix(tiny_graph))
@@ -319,6 +320,52 @@ class TestCloneSemantics:
         bennett_update(clone.factors, {(0, 0): 0.25})
         assert system.solve(b).tobytes() == reference.tobytes()
         assert clone.solve(b).tobytes() != reference.tobytes()
+
+    @staticmethod
+    def _parent_system() -> FactorizedSystem:
+        # L[1, 0] = 1 is stored; column 0 holds nothing at row 2.
+        matrix = SparseMatrix.from_dense(
+            np.array([[2.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        )
+        return FactorizedSystem.factorize(matrix, reorder=False)
+
+    @staticmethod
+    def _state(factors):
+        return (
+            [(i, j, v.hex()) for i, j, v in factors.l_items()],
+            [(i, j, v.hex()) for i, j, v in factors.u_items()],
+            factors.fill_size,
+        )
+
+    # Cancels L[1, 0] (a node removal) and fills L[2, 0] (an insert).
+    RESHAPING_DELTA = {(1, 0): -1.0, (2, 0): 1.0}
+
+    def test_growable_clone_owns_its_lists(self):
+        parent = self._parent_system()
+        before = self._state(parent.factors)
+        clone = parent.clone()
+        bennett_update(clone.factors, self.RESHAPING_DELTA)
+        assert clone.factors.structural_ops == 2
+        assert clone.factors.l_column_entries(0) == [(2, 1.0)]
+        assert self._state(parent.factors) == before
+        assert parent.factors.l_column_entries(0) == [(1, 1.0)]
+        ours, theirs = parent.factors.sweep_storage(), clone.factors.sweep_storage()
+        for name in ("l_rows", "l_values", "u_cols", "u_values"):
+            assert all(a is not b for a, b in zip(getattr(ours, name), getattr(theirs, name)))
+
+    def test_failed_prepared_refresh_leaves_parent_intact(self):
+        cache = FactorCache(refresh_threshold=10.0)  # a 3-entry delta on nnz 4
+        key = system_key(make_query("pagerank", GraphSnapshot(3, [(0, 1)])))
+        cache.seed(key, self._parent_system())
+        before = self._state(cache.peek(key).factors)
+        # The first rank-1 sweep reshapes column 0; the second zeroes pivot 2.
+        delta = dict(self.RESHAPING_DELTA)
+        delta[(2, 2)] = -2.0
+        working = cache.prepare_refresh(key, delta)
+        with pytest.raises(SingularMatrixError):
+            bennett_update(working.factors, delta)
+        assert working.factors.structural_ops == 2
+        assert self._state(cache.peek(key).factors) == before
 
 
 # ---------------------------------------------------------------------- #
@@ -641,7 +688,7 @@ class TestEvolutionRideAlong:
         assert outcome.stats.refreshes == 1
 
     def test_clude_static_pattern_fallback_is_correct(self):
-        # CLUDE seeds StaticLUFactors; an evolution that needs out-of-pattern
+        # CLUDE seeds sealed LUFactors; an evolution that needs out-of-pattern
         # fill must fall back to a cold factorization and still be right.
         egs = growing_egs(nodes=60, snapshots=4, initial_edges=180,
                           edges_per_step=8, seed=9)

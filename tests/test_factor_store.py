@@ -6,8 +6,8 @@ Contracts pinned here:
   :class:`~repro.graphs.matrixkind.MatrixKind`, a checkpointed
   :class:`~repro.query.spec.FactorizedSystem` restores bitwise-identically:
   matrix arrays, ordering, every L/U factor entry, and every answer.  Both
-  factor containers (dynamic :class:`~repro.lu.factors.LUFactors` and
-  :class:`~repro.lu.static_structure.StaticLUFactors`) round-trip.
+  modes of :class:`~repro.lu.factors.LUFactors` (growable and sealed)
+  round-trip.
 * **Corruption safety** — truncated, bit-flipped, header-torn, foreign and
   empty files are detected by the checksum/structure checks and treated as
   a store miss (``restore_fallbacks``), never decoded into a served system;
@@ -118,7 +118,6 @@ class TestFullRoundTrip:
 
     def test_static_factors_restore_bitwise(self, tmp_path):
         from repro.core.clude import decompose_sequence_clude
-        from repro.lu.static_structure import StaticLUFactors
 
         graphs = [random_graph(18, 50, seed=s) for s in range(3)]
         matrices = [
@@ -128,21 +127,22 @@ class TestFullRoundTrip:
         system = FactorizedSystem(
             matrices[1], decomposition.ordering, decomposition.factors
         )
-        assert isinstance(system.factors, StaticLUFactors)
+        assert system.factors.is_sealed
         store = FactorStore(str(tmp_path))
         key = SystemKey(graphs[1], MatrixKind.RANDOM_WALK, 0.85)
         store.save_full(key, system)
         restored = store.load(key)
-        assert isinstance(restored.factors, StaticLUFactors)
+        assert restored.factors.is_sealed
         assert_bitwise_equal(system, restored)
-        # The static container's full slot state (stored zeros included)
+        # The sealed container's full slot state (stored zeros included)
         # round-trips, not just the non-zero items.
-        assert (
-            system.factors._diagonal.tobytes()
-            == restored.factors._diagonal.tobytes()
-        )
-        assert system.factors._l_col_values == restored.factors._l_col_values
-        assert system.factors._u_row_values == restored.factors._u_row_values
+        original = system.factors.sweep_storage()
+        copy = restored.factors.sweep_storage()
+        assert np.array(original.pivots).tobytes() == np.array(copy.pivots).tobytes()
+        assert original.l_rows == copy.l_rows and original.u_cols == copy.u_cols
+        for name in ("l_values", "u_values"):
+            assert [list(map(float.hex, values)) for values in getattr(original, name)] \
+                == [list(map(float.hex, values)) for values in getattr(copy, name)]
 
     def test_key_digest_is_content_stable(self):
         g = random_graph(10, 25, seed=1)
@@ -222,6 +222,74 @@ class TestCorruption:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(StoreFormatError):
             read_blob(path)
+
+    def test_malformed_factor_lists_are_rejected(self):
+        from repro.store.serialize import (
+            decode_factorized_system,
+            encode_factorized_system,
+        )
+
+        system = factorized(random_graph(20, 55, seed=11), MatrixKind.RANDOM_WALK)
+        meta, arrays = encode_factorized_system(system)
+        assert_bitwise_equal(system, decode_factorized_system(meta, arrays))
+        column = int(np.flatnonzero(arrays["l_lengths"] >= 2)[0])
+        start = int(arrays["l_lengths"][:column].sum())
+
+        def tampered(name, edit):
+            copy = {key: value.copy() for key, value in arrays.items()}
+            edit(copy[name])
+            return copy
+
+        def swap(a):
+            a[start], a[start + 1] = a[start + 1], a[start]
+
+        def first_at_or_above_diagonal(a):
+            a[start] = column
+
+        bad = [
+            tampered("l_indices", swap),
+            tampered("l_indices", first_at_or_above_diagonal),
+            tampered("u_values", lambda a: a.__setitem__(0, 0.0)),
+            tampered("l_lengths", lambda a: a.__setitem__(column, a[column] + 1)),
+        ]
+        for broken in bad:
+            with pytest.raises(StoreFormatError):
+                decode_factorized_system(meta, broken)
+        with pytest.raises(StoreFormatError):
+            decode_factorized_system({**meta, "sealed": None}, arrays)
+
+    def test_version_one_checkpoint_fails_closed(self, tmp_path):
+        # A checkpoint in the version-1 layout (factors as COO triples under
+        # a "dynamic" tag), checksummed and tagged as version 1, as an older
+        # writer left it.
+        from repro.store import serialize
+
+        store, key, path = _checkpointed(tmp_path)
+        meta, arrays, _ = read_blob(path)
+        factors = store.load(key).factors
+        legacy_meta = {"type": "system", "n": meta["n"],
+                       "ordering": meta["ordering"], "factors": "dynamic"}
+        legacy = {name: arrays[name] for name in arrays
+                  if name.startswith(("matrix_", "order_"))}
+        for prefix, triples in (("l", list(factors.l_items())),
+                                ("u", list(factors.u_items()))):
+            legacy[f"{prefix}_rows"] = np.array([i for i, _, _ in triples], np.int64)
+            legacy[f"{prefix}_cols"] = np.array([j for _, j, _ in triples], np.int64)
+            legacy[f"{prefix}_vals"] = np.array([v for _, _, v in triples], np.float64)
+        body = serialize._build_body(legacy_meta, legacy)
+        prefix = serialize._PREFIX.pack(serialize.MAGIC, 1, serialize._digest(body))
+        open(path, "wb").write(prefix + body)
+        with pytest.raises(StoreFormatError):
+            read_blob(path)
+        # Served as a miss, so the cache falls back to a cold factorization.
+        cache = FactorCache(store=FactorStore(str(tmp_path)))
+        assert cache.restore_from_store(key) is None
+        assert cache.cache_info()["restore_fallbacks"] == 1
+        # Even under the current version tag the old layout does not decode.
+        serialize.write_blob(path, legacy_meta, legacy)
+        fresh = FactorStore(str(tmp_path))
+        assert fresh.load(key) is None
+        assert fresh.stats()["restore_failures"] == 1
 
 
 # ---------------------------------------------------------------------- #

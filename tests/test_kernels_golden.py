@@ -21,7 +21,7 @@ from repro.lu.solve import (
     solve_factored,
     solve_factored_many,
 )
-from repro.lu.static_structure import StaticLUFactors
+from repro.lu.factors import LUFactors
 from repro.lu.symbolic import symbolic_decomposition
 from repro.sparse.csr import SparseMatrix
 from repro.sparse import kernels
@@ -231,7 +231,7 @@ class TestTriangularSolvesGolden:
     def test_static_structure_solves_match(self, n, rng):
         matrix = random_dd(n, rng)
         pattern = symbolic_decomposition(matrix.pattern())
-        static = StaticLUFactors(pattern)
+        static = LUFactors.sealed(pattern)
         crout_decompose_into(matrix, static, pattern=pattern)
         block = rng.standard_normal((n, 3))
         assert np.allclose(

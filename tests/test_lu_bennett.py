@@ -14,7 +14,7 @@ from repro.lu.bennett import (
     delta_to_rank_one_terms,
 )
 from repro.lu.crout import crout_decompose, crout_decompose_into
-from repro.lu.static_structure import StaticLUFactors
+from repro.lu.factors import LUFactors
 from repro.lu.symbolic import symbolic_decomposition
 from repro.sparse.csr import SparseMatrix
 from tests.conftest import perturb_matrix, random_dd_matrix
@@ -118,7 +118,7 @@ class TestBennettUpdateSequences:
         matrix = random_dd_matrix(20, 70, rng)
         target = perturb_matrix(matrix, changes=8, rng=rng)
         ussp = symbolic_decomposition(matrix.pattern().union(target.pattern()))
-        static = StaticLUFactors(ussp)
+        static = LUFactors.sealed(ussp)
         crout_decompose_into(matrix, static, pattern=ussp)
         bennett_update(static, matrix.delta_entries(target))
         assert np.allclose(
@@ -135,7 +135,7 @@ class TestBennettUpdateSequences:
         bennett_update(dynamic, delta)
 
         ussp = symbolic_decomposition(matrix.pattern().union(target.pattern()))
-        static = StaticLUFactors(ussp)
+        static = LUFactors.sealed(ussp)
         crout_decompose_into(matrix, static, pattern=ussp)
         bennett_update(static, delta)
 
@@ -157,7 +157,7 @@ class TestBennettUpdateSequences:
     def test_update_outside_static_pattern_raises(self, rng):
         matrix = random_dd_matrix(10, 25, rng)
         ussp = symbolic_decomposition(matrix.pattern())
-        static = StaticLUFactors(ussp)
+        static = LUFactors.sealed(ussp)
         crout_decompose_into(matrix, static, pattern=ussp)
         # Find a position that is not admissible and push a large update there.
         outside = None

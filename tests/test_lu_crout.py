@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PatternError, SingularMatrixError
 from repro.lu.crout import crout_decompose, crout_decompose_dense, crout_decompose_into
-from repro.lu.static_structure import StaticLUFactors
+from repro.lu.factors import LUFactors
 from repro.lu.symbolic import symbolic_decomposition
 from repro.sparse.csr import SparseMatrix
 from tests.conftest import random_dd_matrix
@@ -72,7 +72,7 @@ class TestSparseCrout:
     def test_decompose_into_static_structure(self, rng):
         matrix = random_dd_matrix(12, 40, rng)
         pattern = symbolic_decomposition(matrix.pattern())
-        static = StaticLUFactors(pattern)
+        static = LUFactors.sealed(pattern)
         crout_decompose_into(matrix, static, pattern=pattern)
         assert np.allclose(static.l_dense() @ static.u_dense(), matrix.to_dense())
 
@@ -82,13 +82,13 @@ class TestSparseCrout:
         other = random_dd_matrix(12, 40, rng)
         union = matrix.pattern().union(other.pattern())
         ussp = symbolic_decomposition(union)
-        static = StaticLUFactors(ussp)
+        static = LUFactors.sealed(ussp)
         crout_decompose_into(matrix, static, pattern=ussp)
         assert np.allclose(static.l_dense() @ static.u_dense(), matrix.to_dense())
 
     def test_dimension_mismatch_rejected(self, rng):
         matrix = random_dd_matrix(6, 15, rng)
-        wrong = StaticLUFactors(symbolic_decomposition(random_dd_matrix(7, 15, rng).pattern()))
+        wrong = LUFactors.sealed(symbolic_decomposition(random_dd_matrix(7, 15, rng).pattern()))
         with pytest.raises(PatternError):
             crout_decompose_into(matrix, wrong)
 

@@ -1,4 +1,4 @@
-"""Tests for the dynamic and static LU factor containers."""
+"""Tests for the LU factor container in its growable and sealed modes."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.errors import DimensionError, PatternError
 from repro.lu.crout import crout_decompose
 from repro.lu.factors import LUFactors
-from repro.lu.static_structure import StaticLUFactors
 from repro.sparse.pattern import SparsityPattern
 from tests.conftest import random_dd_matrix
 
@@ -73,7 +72,7 @@ class TestLUFactors:
 class TestStaticLUFactors:
     def make_static(self):
         pattern = SparsityPattern(4, [(1, 0), (2, 0), (3, 2), (0, 1), (0, 3), (1, 3)])
-        return StaticLUFactors(pattern)
+        return LUFactors.sealed(pattern)
 
     def test_capacity_and_initial_state(self):
         static = self.make_static()
@@ -112,7 +111,7 @@ class TestStaticLUFactors:
 
     def test_diagonal_always_admissible(self):
         pattern = SparsityPattern(3, [(0, 1)])
-        static = StaticLUFactors(pattern)
+        static = LUFactors.sealed(pattern)
         static.set_l_diagonal(2, 7.0)
         assert static.l_diagonal(2) == 7.0
 
@@ -120,9 +119,12 @@ class TestStaticLUFactors:
         static = self.make_static()
         static.l_set(1, 0, 3.0)
         static.set_l_diagonal(0, 2.0)
-        static.reset_values()
+        static.l_set(1, 0, 0.0)      # a zeroed slot stays allocated
+        static.set_l_diagonal(0, 0.0)
         assert static.fill_size == 0
         assert static.capacity == 10
+        assert static.structural_ops == 0
+        assert [i for i, _ in static.l_column_entries(0)] == [1, 2]
         static.l_set(1, 0, 1.0)      # still admissible after reset
 
     def test_entry_views_expose_all_slots(self):

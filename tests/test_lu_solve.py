@@ -53,7 +53,6 @@ class TestTriangularSolves:
 
     def test_zero_pivot_detected(self):
         from repro.lu.factors import LUFactors
-        from repro.lu.static_structure import StaticLUFactors
         from repro.sparse.kernels import narrow_sweep, wide_sweep
         from repro.sparse.pattern import SparsityPattern
 
@@ -68,7 +67,7 @@ class TestTriangularSolves:
         dynamic.set_l_diagonal(0, 2.0)
         dynamic.l_set(2, 1, 0.5)
         dynamic.set_l_diagonal(2, 1.0)
-        static = StaticLUFactors(SparsityPattern(3, [(2, 1)]))
+        static = LUFactors.sealed(SparsityPattern(3, [(2, 1)]))
         static.set_l_diagonal(0, 2.0)
         static.l_set(2, 1, 0.5)
         static.set_l_diagonal(2, 1.0)

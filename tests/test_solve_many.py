@@ -20,7 +20,7 @@ from repro.graphs.snapshot import GraphSnapshot
 from repro.lu.crout import crout_decompose, crout_decompose_into
 from repro.lu.markowitz import markowitz_ordering
 from repro.lu.solve import solve_factored
-from repro.lu.static_structure import StaticLUFactors
+from repro.lu.factors import LUFactors
 from repro.lu.symbolic import symbolic_decomposition
 from repro.measures.pagerank import pagerank_rhs, pagerank_series
 from repro.measures.rwr import rwr_scores, rwr_scores_many
@@ -52,7 +52,7 @@ def small_ems(small_egs):
 def _dynamic_and_static(matrix):
     """Crout factors of ``matrix`` in both factor containers."""
     pattern = symbolic_decomposition(matrix.pattern())
-    static = StaticLUFactors(pattern)
+    static = LUFactors.sealed(pattern)
     crout_decompose_into(matrix, static, pattern=pattern)
     return crout_decompose(matrix), static
 

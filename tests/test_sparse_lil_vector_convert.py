@@ -1,4 +1,4 @@
-"""Tests for the adjacency-list matrix, vector helpers and format conversions."""
+"""Tests for the factor adjacency lists, vector helpers and format conversions."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import DimensionError
+from repro.lu.crout import crout_decompose
+from repro.lu.factors import LUFactors
 from repro.sparse.csr import SparseMatrix
-from repro.sparse.lil import AdjacencyListMatrix
 from repro.sparse.vector import (
     dense_to_sparse,
     residual_norm,
@@ -20,69 +21,68 @@ from tests.conftest import random_dd_matrix
 
 
 class TestAdjacencyListMatrix:
+    """The growable factor container's sorted adjacency lists (paper Figure 4)."""
+
     def test_set_get_round_trip(self):
-        matrix = AdjacencyListMatrix(4)
-        matrix.set(1, 2, 3.5)
-        matrix.set(1, 0, -1.0)
-        assert matrix.get(1, 2) == 3.5
-        assert matrix.get(1, 0) == -1.0
-        assert matrix.get(0, 0) == 0.0
-        assert matrix.nnz == 2
+        factors = LUFactors(4)
+        factors.l_set(2, 1, 3.5)
+        factors.u_set(1, 3, -1.0)
+        assert factors.l_get(2, 1) == 3.5
+        assert factors.u_get(1, 3) == -1.0
+        assert factors.l_get(3, 1) == 0.0
+        assert factors.fill_size == 2
 
     def test_rows_stay_sorted(self):
-        matrix = AdjacencyListMatrix(5)
-        for column in (4, 1, 3, 0, 2):
-            matrix.set(0, column, float(column + 1))
-        assert matrix.row_columns(0) == [0, 1, 2, 3, 4]
+        factors = LUFactors(5)
+        for row in (4, 1, 3, 2):
+            factors.l_set(row, 0, float(row + 1))
+        for column in (4, 2, 3):
+            factors.u_set(1, column, float(column))
+        assert [i for i, _ in factors.l_column_entries(0)] == [1, 2, 3, 4]
+        assert [j for j, _ in factors.u_row_entries(1)] == [2, 3, 4]
 
     def test_setting_zero_removes_entry(self):
-        matrix = AdjacencyListMatrix(3)
-        matrix.set(0, 1, 2.0)
-        matrix.set(0, 1, 0.0)
-        assert matrix.nnz == 0
+        factors = LUFactors(3)
+        factors.l_set(1, 0, 2.0)
+        factors.l_set(1, 0, 0.0)
+        assert factors.l_column_entries(0) == []
+        assert factors.fill_size == 0
 
     def test_structural_ops_counting(self):
-        matrix = AdjacencyListMatrix(3)
-        matrix.set(0, 1, 2.0)       # insert -> 1 op
-        matrix.set(0, 1, 3.0)       # value update -> 0 ops
-        matrix.set(0, 1, 0.0)       # delete -> 1 op
-        assert matrix.structural_ops == 2
-        matrix.reset_counters()
-        assert matrix.structural_ops == 0
+        factors = LUFactors(3)
+        factors.u_set(0, 1, 2.0)       # insert -> 1 op
+        factors.u_set(0, 1, 3.0)       # value update -> 0 ops
+        factors.u_set(0, 1, 0.0)       # delete -> 1 op
+        factors.set_l_diagonal(0, 1.0)  # pivots live outside the lists
+        assert factors.structural_ops == 2
+        factors.reset_counters()
+        assert factors.structural_ops == 0
 
-    def test_initial_population_not_counted(self):
-        matrix = AdjacencyListMatrix(3, {(0, 1): 1.0, (2, 2): 2.0})
-        assert matrix.structural_ops == 0
-        assert matrix.nnz == 2
-
-    def test_add_to_and_clear_row(self):
-        matrix = AdjacencyListMatrix(3)
-        matrix.add_to(0, 1, 1.5)
-        matrix.add_to(0, 1, -1.5)
-        assert matrix.get(0, 1) == 0.0
-        matrix.set(1, 0, 1.0)
-        matrix.set(1, 2, 1.0)
-        matrix.clear_row(1)
-        assert matrix.row_columns(1) == []
+    def test_initial_population_not_counted(self, rng):
+        factors = crout_decompose(random_dd_matrix(8, 20, rng))
+        assert factors.structural_ops == 0
+        assert factors.fill_size > 8
 
     def test_round_trip_with_sparse(self, rng):
         original = random_dd_matrix(10, 30, rng)
-        adjacency = AdjacencyListMatrix.from_sparse(original)
-        assert adjacency.to_sparse() == original
-        assert adjacency.pattern() == original.pattern()
+        factors = crout_decompose(original)
+        assert factors.reconstruct().allclose(original)
+        assert original.pattern().indices <= factors.decomposed_pattern().indices
 
     def test_copy_is_independent(self):
-        matrix = AdjacencyListMatrix(3, {(0, 1): 1.0})
-        clone = matrix.copy()
-        clone.set(0, 1, 9.0)
-        assert matrix.get(0, 1) == 1.0
+        factors = LUFactors(3)
+        factors.l_set(1, 0, 1.0)
+        clone = factors.copy()
+        clone.l_set(1, 0, 9.0)
+        clone.l_set(2, 0, 4.0)
+        assert factors.l_column_entries(0) == [(1, 1.0)]
 
     def test_out_of_bounds(self):
-        matrix = AdjacencyListMatrix(2)
+        factors = LUFactors(2)
         with pytest.raises(DimensionError):
-            matrix.set(0, 2, 1.0)
+            factors.u_set(0, 2, 1.0)
         with pytest.raises(DimensionError):
-            matrix.get(2, 0)
+            factors.l_get(2, 0)
 
 
 class TestVectorHelpers:
