@@ -35,7 +35,7 @@ def _measure_latencies():
     walk = column_normalized_matrix(snapshot)
     n = matrix.n
 
-    ordering = markowitz_ordering(matrix)
+    ordering, _ = markowitz_ordering(matrix)
     factors = crout_decompose(ordering.apply(matrix))
 
     query_nodes = [1, 7, 17, 40, 99]

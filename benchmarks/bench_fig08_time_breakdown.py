@@ -11,8 +11,17 @@ static universal structure makes CLUDE's incremental updates much cheaper.
 
 from __future__ import annotations
 
-from _shared import ALPHAS, alpha_sweep, series_from_reports, single_run
+import gc
+import statistics
+
+from _shared import ALPHAS, alpha_sweep, series_from_reports, single_run, wiki_runner
 from repro.bench.reporting import print_header, series_table
+from repro.core.cinc import decompose_sequence_cinc
+from repro.core.clude import decompose_sequence_clude
+from repro.core.clustering import alpha_clustering
+
+#: Interleaved CINC/CLUDE runs per α behind each Fig. 8(b) median.
+BENNETT_REPEATS = 5
 
 
 def _sweep():
@@ -49,13 +58,51 @@ def test_fig08a_clude_time_breakdown(benchmark):
     assert components["bennett"][0] >= components["clustering"][0]
 
 
+def _interleaved_bennett():
+    """Median Bennett time of CINC and CLUDE per α, sampled interleaved.
+
+    Both algorithms run on the same α-clusters, alternating which goes
+    first, ``BENNETT_REPEATS`` times per α, so host drift hits both sides
+    alike.  The collector runs before each run and is off during it, so
+    neither side pays for scanning the other's garbage.  An α whose
+    clusters are all singletons has no Bennett work and is reported as
+    zero for both without running.
+    """
+    matrices = wiki_runner().workload.matrices
+    decompose = {"CINC": decompose_sequence_cinc, "CLUDE": decompose_sequence_clude}
+    medians = {name: [] for name in decompose}
+    structural_ops = {name: [] for name in decompose}
+    for alpha in ALPHAS:
+        clusters = alpha_clustering(matrices, alpha)
+        if all(cluster.size == 1 for cluster in clusters):
+            for name in decompose:
+                medians[name].append(0.0)
+            continue
+        samples = {name: [] for name in decompose}
+        for repeat in range(BENNETT_REPEATS):
+            for name in ("CINC", "CLUDE") if repeat % 2 == 0 else ("CLUDE", "CINC"):
+                gc.collect()
+                gc.disable()
+                try:
+                    result = decompose[name](matrices, clusters=clusters)
+                finally:
+                    gc.enable()
+                samples[name].append(result.timing.bennett_time)
+                structural_ops[name].append(result.total_structural_ops)
+        for name in decompose:
+            medians[name].append(statistics.median(samples[name]))
+    return medians, structural_ops
+
+
 def test_fig08b_bennett_time_cinc_vs_clude(benchmark):
     """Figure 8(b): Bennett time of CINC vs CLUDE (Wiki)."""
-    sweeps = single_run(benchmark, _sweep)
-    cinc_bennett = series_from_reports(sweeps["CINC"], "bennett_time")
-    clude_bennett = series_from_reports(sweeps["CLUDE"], "bennett_time")
+    medians, structural_ops = single_run(benchmark, _interleaved_bennett)
+    cinc_bennett, clude_bennett = medians["CINC"], medians["CLUDE"]
 
-    print_header("Figure 8(b): Bennett time (seconds) — CINC vs CLUDE (Wiki)")
+    print_header(
+        f"Figure 8(b): median Bennett time (seconds) of {BENNETT_REPEATS} interleaved runs"
+        " — CINC vs CLUDE (Wiki)"
+    )
     print(series_table("alpha", ALPHAS, {"CINC": cinc_bennett, "CLUDE": clude_bennett}))
     ratios = [c / max(k, 1e-9) for c, k in zip(cinc_bennett, clude_bennett)]
     print(f"\nCINC / CLUDE Bennett-time ratios: {[round(r, 2) for r in ratios]}")
@@ -71,6 +118,5 @@ def test_fig08b_bennett_time_cinc_vs_clude(benchmark):
             compared += 1
     assert compared >= 2
 
-    structural_cinc = series_from_reports(sweeps["CINC"], "structural_ops")
-    assert any(ops > 0 for ops in structural_cinc)
-    assert all(ops == 0 for ops in series_from_reports(sweeps["CLUDE"], "structural_ops"))
+    assert any(ops > 0 for ops in structural_ops["CINC"])
+    assert all(ops == 0 for ops in structural_ops["CLUDE"])

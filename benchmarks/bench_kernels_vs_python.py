@@ -109,7 +109,7 @@ def measure_matvec_speedup() -> Dict[str, float]:
 def measure_solve_many_speedup() -> Dict[str, float]:
     """Time 64 scalar solves vs. one batched ``solve_many`` on the same factors."""
     matrix = _random_dd(SOLVE_N, SOLVE_AVG_DEGREE, seed=11)
-    ordering = markowitz_ordering(matrix)
+    ordering, _ = markowitz_ordering(matrix)
     factors = crout_decompose(ordering.apply(matrix))
     block = np.random.default_rng(2).random((SOLVE_N, SOLVE_RHS))
 
@@ -147,7 +147,7 @@ def _rwr_system(n: int, seed: int) -> SparseMatrix:
 def measure_sweeps() -> List[Dict[str, float]]:
     """Time the narrow and wide sweeps of ``solve_many`` at each of ``SWEEP_WIDTHS``."""
     matrix = _rwr_system(SWEEP_N, seed=3)
-    factors = crout_decompose(markowitz_ordering(matrix).apply(matrix))
+    factors = crout_decompose(markowitz_ordering(matrix)[0].apply(matrix))
     storage = factors.sweep_storage()
     rows = []
     for k in SWEEP_WIDTHS:

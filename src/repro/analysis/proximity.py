@@ -9,7 +9,7 @@ set, then rank companies per year and study how the ranks evolve.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 

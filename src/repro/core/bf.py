@@ -41,10 +41,9 @@ def decompose_snapshot_bf(
     bitwise-identical.
     """
     with stopwatch.time("ordering"):
-        ordering = markowitz_ordering(matrix)
+        ordering, pattern = markowitz_ordering(matrix)
     with stopwatch.time("decomposition"):
-        reordered = ordering.apply(matrix)
-        factors = crout_decompose(reordered)
+        factors = crout_decompose(ordering.apply(matrix), pattern=pattern)
     return MatrixDecomposition(
         index=index,
         ordering=ordering,

@@ -6,12 +6,13 @@ CLUDE (paper Algorithm 3) improves on CINC in two ways:
    member, CLUDE computes the Markowitz ordering ``O_∪`` of the cluster's
    union matrix ``A_∪`` (Definition 7), which by construction "sees" the
    structure of every member and therefore fits all of them better.
-2. **Universal static data structure.**  A symbolic decomposition of
-   ``A_∪^{O_∪}`` yields the *universal symbolic sparsity pattern* (USSP,
-   Definition 9), which by Theorem 1 covers the symbolic pattern of every
-   member.  One static structure allocated from the USSP is reused for every
-   member's factors, so Bennett's algorithm performs purely numerical work —
-   no adjacency-list restructuring at all.
+2. **Universal static data structure.**  The Markowitz elimination of
+   ``A_∪`` that yields ``O_∪`` also yields ``s̃p(A_∪^{O_∪})``, the *universal
+   symbolic sparsity pattern* (USSP, Definition 9), which by Theorem 1 covers
+   the symbolic pattern of every member.  One static structure allocated
+   from the USSP is reused for every member's factors, so Bennett's
+   algorithm performs purely numerical work — no adjacency-list
+   restructuring at all.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def universal_symbolic_pattern(
 
     The USSP is ``s̃p(A_∪^O)`` — the symbolic sparsity pattern of the reordered
     union matrix; by Lemma 1 it contains ``s̃p(A^O)`` for every member ``A``.
+    This computes it for any ordering; CLUDE itself takes it from the
+    Markowitz elimination that produced ``O_∪``.
     """
     union = cluster_union_matrix(members)
     reordered_union = ordering.apply(union)
@@ -79,10 +82,8 @@ def decompose_cluster_clude(
     """
     with stopwatch.time("ordering"):
         union_matrix = cluster_union_matrix(members)
-        ordering = markowitz_ordering(union_matrix)
+        ordering, ussp = markowitz_ordering(union_matrix)
     with stopwatch.time("symbolic"):
-        reordered_union = ordering.apply(union_matrix)
-        ussp = symbolic_decomposition(reordered_union.pattern())
         static_factors = LUFactors.sealed(ussp)
 
     decompositions: List[MatrixDecomposition] = []

@@ -114,7 +114,7 @@ def beta_clustering_cinc(
 
     clusters: List[MatrixCluster] = []
     start = 0
-    shared_ordering = markowitz_ordering(matrices[0])
+    shared_ordering, _ = markowitz_ordering(matrices[0])
     for index in range(1, len(matrices)):
         candidate = matrices[index]
         achieved = symbolic_size_under_ordering(candidate, shared_ordering)
@@ -123,7 +123,7 @@ def beta_clustering_cinc(
             continue
         clusters.append(MatrixCluster(start, index))
         start = index
-        shared_ordering = markowitz_ordering(candidate)
+        shared_ordering, _ = markowitz_ordering(candidate)
     clusters.append(MatrixCluster(start, len(matrices)))
     return clusters
 
@@ -156,8 +156,7 @@ def beta_clustering_clude(
         candidate = matrices[index]
         trial_members = members + [candidate]
         union_matrix = cluster_union_matrix(trial_members)
-        union_ordering = markowitz_ordering(union_matrix)
-        union_size = symbolic_size_under_ordering(union_matrix, union_ordering)
+        union_size = len(markowitz_ordering(union_matrix)[1])
         satisfied = True
         for offset, member in enumerate(trial_members):
             member_index = start + offset

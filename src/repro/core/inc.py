@@ -45,12 +45,11 @@ def decompose_chain_inc(
     index of the first member, recorded on the decompositions.
     """
     with stopwatch.time("ordering"):
-        ordering = markowitz_ordering(members[0])
+        ordering, pattern = markowitz_ordering(members[0])
 
     decompositions: List[MatrixDecomposition] = []
     with stopwatch.time("decomposition"):
-        first_reordered = ordering.apply(members[0])
-        factors = crout_decompose(first_reordered)
+        factors = crout_decompose(ordering.apply(members[0]), pattern=pattern)
     decompositions.append(
         MatrixDecomposition(
             index=start,

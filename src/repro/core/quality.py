@@ -61,8 +61,7 @@ def markowitz_reference_size(
     if symmetric and pattern.is_symmetric():
         ordering = minimum_degree_ordering(pattern)
         return symmetric_symbolic_size(pattern, ordering.row.order)
-    ordering = markowitz_ordering(pattern)
-    return symbolic_size_under_ordering(pattern, ordering)
+    return len(markowitz_ordering(pattern)[1])
 
 
 def quality_loss(

@@ -9,8 +9,8 @@ execution-time breakdown the paper analyses in Section 6.2:
 * ``ordering_time``     (t_M) — time spent computing Markowitz orderings,
 * ``decomposition_time``(t_d) — time spent on full (Crout) decompositions,
 * ``bennett_time``      (t_B) — time spent on incremental Bennett updates,
-* ``symbolic_time``            — time spent on symbolic decompositions and
-  building static structures (CLUDE only; folded into the structure cost).
+* ``symbolic_time``            — time spent building static structures from
+  the USSP (CLUDE only; the USSP itself comes out of the Markowitz ordering).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ relies on:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set
 
 import numpy as np
 

@@ -21,7 +21,7 @@ grow towards the paper's dimensions.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Set, Tuple
+from typing import List, Set
 
 import numpy as np
 

@@ -21,7 +21,7 @@ determinism regression tests pin.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
 import numpy as np
 

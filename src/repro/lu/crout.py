@@ -10,8 +10,11 @@ for sparsity by the ordering strategies in :mod:`repro.lu.markowitz` and
 
 The decomposition follows the two-phase split of Section 2.3 of the paper:
 
-* SD-phase — a symbolic decomposition determines ``s̃p(A)``, which bounds all
-  positions the factors can occupy;
+* SD-phase — ``s̃p(A)`` bounds all positions the factors can occupy.  For a
+  Markowitz order it comes from the ordering's own elimination
+  (:func:`~repro.lu.markowitz.markowitz_ordering` returns it) and is passed in
+  as ``pattern``; for any other order
+  :func:`~repro.lu.symbolic.symbolic_decomposition` computes it here;
 * ND-phase — numeric values are computed row by row and written into an
   :class:`~repro.lu.factors.LUFactors` container (growable, or CLUDE's sealed
   USSP structure).
@@ -45,7 +48,8 @@ def crout_decompose(
     matrix:
         The (already reordered, if applicable) matrix to decompose.
     pattern:
-        Optional precomputed symbolic sparsity pattern ``s̃p(A)``; computed
+        Optional precomputed symbolic sparsity pattern ``s̃p(A)`` (the one
+        :func:`~repro.lu.markowitz.markowitz_ordering` returns); computed
         here when absent.
     pivot_tolerance:
         Pivots smaller in magnitude than this raise
@@ -105,8 +109,6 @@ def crout_decompose_into(
         # One vectorized row extraction replaces a per-entry binary search.
         stored = matrix.row(i)
         work = {j: stored.get(j, 0.0) for j in row_columns[i]}
-        if i not in work:
-            work[i] = stored.get(i, 0.0)
         for k in sorted(j for j in work if j < i):
             l_ik = work[k]
             if l_ik == 0.0:

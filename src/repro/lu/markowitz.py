@@ -1,4 +1,4 @@
-"""Markowitz fill-reducing ordering.
+"""Markowitz fill-reducing ordering and the SD-phase it performs.
 
 The Markowitz strategy (referenced throughout the paper as the quality
 baseline ``O*(A)``) selects, at each elimination step, the pivot whose
@@ -6,6 +6,12 @@ Markowitz cost ``(r_i - 1)(c_j - 1)`` is smallest, where ``r_i`` and ``c_j``
 are the numbers of remaining non-zeros in the pivot's row and column of the
 active submatrix.  Eliminating the chosen pivot then adds the symbolic fill
 of the outer product of its row and column to the active pattern.
+
+That elimination *is* the SD-phase of Section 2.3: the pivot's remaining row
+is U's row and its remaining column is L's column of ``s̃p(A^O)``.  So
+:func:`markowitz_ordering` returns the symbolic sparsity pattern of the
+reordered matrix together with the order, and no Markowitz-ordered
+factorization runs a second symbolic elimination.
 
 This implementation restricts pivot choices to diagonal positions of the
 active submatrix.  For the matrices this library targets (``A = I - dW``,
@@ -20,7 +26,7 @@ criterion degenerates to classical minimum degree.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Set, Union
+from typing import List, Set, Tuple, Union
 
 from repro.errors import DimensionError
 from repro.sparse.csr import SparseMatrix
@@ -31,8 +37,8 @@ from repro.sparse.permutation import Ordering
 def markowitz_ordering(
     matrix_or_pattern: Union[SparseMatrix, SparsityPattern],
     tie_break: str = "index",
-) -> Ordering:
-    """Return the Markowitz ordering ``O*(A)`` of a matrix or pattern.
+) -> Tuple[Ordering, SparsityPattern]:
+    """Return the Markowitz ordering ``O*(A)`` and ``s̃p(A^{O*})``.
 
     Parameters
     ----------
@@ -44,8 +50,11 @@ def markowitz_ordering(
 
     Returns
     -------
-    Ordering
-        A symmetric ordering: the same permutation applied to rows and columns.
+    (Ordering, SparsityPattern)
+        A symmetric ordering (the same permutation applied to rows and
+        columns) and the symbolic sparsity pattern of the reordered matrix,
+        diagonal included — exactly
+        ``symbolic_decomposition(ordering.apply(A).pattern())``.
     """
     if tie_break != "index":
         raise DimensionError(f"unsupported tie-break strategy: {tie_break!r}")
@@ -55,8 +64,6 @@ def markowitz_ordering(
         else matrix_or_pattern
     )
     n = pattern.n
-    if n == 0:
-        return Ordering.identity(0)
 
     # Active structure: row_sets[i] = columns with entries in row i (diagonal
     # excluded), column_sets[j] = rows with entries in column j.
@@ -69,6 +76,10 @@ def markowitz_ordering(
 
     eliminated = [False] * n
     order: List[int] = []
+    # Step k's pivot row (U's row k) and pivot column (L's column k), in
+    # original indices.
+    upper: List[Set[int]] = []
+    lower: List[Set[int]] = []
 
     # Lazy-deletion heap of (markowitz_cost, index, stamp).  Stale entries are
     # skipped when their recorded cost no longer matches the live cost.
@@ -94,6 +105,8 @@ def markowitz_ordering(
         # in the pivot column inherits the pivot row's remaining columns.
         pivot_row = {j for j in row_sets[pivot] if not eliminated[j]}
         pivot_column = {i for i in column_sets[pivot] if not eliminated[i]}
+        upper.append(pivot_row)
+        lower.append(pivot_column)
         for i in pivot_column:
             row_sets[i].discard(pivot)
             for j in pivot_row:
@@ -102,49 +115,17 @@ def markowitz_ordering(
                     column_sets[j].add(i)
         for j in pivot_row:
             column_sets[j].discard(pivot)
-        # Remove the pivot from structures it still appears in.
-        for j in pivot_row:
-            row_sets[pivot].discard(j)
-        for i in pivot_column:
-            column_sets[pivot].discard(i)
         # Push refreshed costs for the touched vertices.
         touched = pivot_row | pivot_column
         for v in touched:
             if not eliminated[v]:
                 heapq.heappush(heap, (cost_of(v), v))
 
-    return Ordering.symmetric(order)
-
-
-def markowitz_cost_bound(pattern: SparsityPattern, order: Optional[List[int]] = None) -> int:
-    """Return an upper bound on fill produced by eliminating in ``order``.
-
-    The bound sums the Markowitz cost of each pivot at its elimination time.
-    It is used only for diagnostics and tests; the authoritative fill count is
-    obtained from :func:`repro.lu.symbolic.symbolic_decomposition`.
-    """
-    n = pattern.n
-    if order is None:
-        order = list(range(n))
-    if sorted(order) != list(range(n)):
-        raise DimensionError("order must be a permutation of 0..n-1")
-
-    row_sets: List[Set[int]] = [set() for _ in range(n)]
-    column_sets: List[Set[int]] = [set() for _ in range(n)]
-    for i, j in pattern:
-        if i != j:
-            row_sets[i].add(j)
-            column_sets[j].add(i)
-    eliminated = [False] * n
-    total = 0
-    for pivot in order:
-        pivot_row = {j for j in row_sets[pivot] if not eliminated[j]}
-        pivot_column = {i for i in column_sets[pivot] if not eliminated[i]}
-        total += len(pivot_row) * len(pivot_column)
-        eliminated[pivot] = True
-        for i in pivot_column:
-            for j in pivot_row:
-                if j != i and j not in row_sets[i]:
-                    row_sets[i].add(j)
-                    column_sets[j].add(i)
-    return total
+    position = [0] * n
+    for k, original in enumerate(order):
+        position[original] = k
+    indices = [(k, k) for k in range(n)]
+    for k in range(n):
+        indices.extend((k, position[j]) for j in upper[k])
+        indices.extend((position[i], k) for i in lower[k])
+    return Ordering.symmetric(order), SparsityPattern(n, indices)

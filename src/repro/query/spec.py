@@ -422,8 +422,8 @@ class FactorizedSystem:
     def factorize(cls, matrix: SparseMatrix, reorder: bool = True) -> "FactorizedSystem":
         """Markowitz-order (optional) and Crout-decompose a system matrix."""
         if reorder:
-            ordering: Optional[Ordering] = markowitz_ordering(matrix)
-            factors = crout_decompose(ordering.apply(matrix))
+            ordering, pattern = markowitz_ordering(matrix)
+            factors = crout_decompose(ordering.apply(matrix), pattern=pattern)
         else:
             ordering = None
             factors = crout_decompose(matrix)

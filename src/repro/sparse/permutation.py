@@ -13,7 +13,7 @@ permutations are stored as integer sequences rather than explicit matrices:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 import numpy as np
 

@@ -99,7 +99,7 @@ def test_beta_clustering_cinc_invariants(seed, delta_edges, beta):
     assert_partition_invariants(clusters, len(matrices))
     checker = MarkowitzReference()
     for cluster in clusters:
-        shared_ordering = markowitz_ordering(matrices[cluster.start])
+        shared_ordering, _ = markowitz_ordering(matrices[cluster.start])
         for index in cluster.indices:
             # Algorithm 4's admission test, re-evaluated independently: the
             # first member's ordering must keep every member within β.  (The
@@ -119,7 +119,7 @@ def test_beta_clustering_clude_invariants(seed, delta_edges, beta):
     for cluster in clusters:
         members = [matrices[i] for i in cluster.indices]
         union_matrix = cluster_union_matrix(members)
-        union_ordering = markowitz_ordering(union_matrix)
+        union_ordering, _ = markowitz_ordering(union_matrix)
         union_size = symbolic_size_under_ordering(union_matrix, union_ordering)
         for index in cluster.indices:
             best = checker.size_for(index, matrices[index])

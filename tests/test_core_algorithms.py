@@ -133,7 +133,7 @@ class TestAlgorithmSpecificBehaviour:
 
         for cluster in clusters:
             members = [matrices[index] for index in cluster.indices]
-            ordering = markowitz_ordering(cluster_union_matrix(members))
+            ordering, _ = markowitz_ordering(cluster_union_matrix(members))
             ussp = universal_symbolic_pattern(members, ordering)
             for member in members:
                 reordered = reorder_pattern(

@@ -33,7 +33,7 @@ class TestSymbolicSizeUnderOrdering:
 class TestQualityLoss:
     def test_markowitz_ordering_has_zero_loss(self, rng):
         matrix = random_dd_matrix(16, 55, rng)
-        ordering = markowitz_ordering(matrix)
+        ordering, _ = markowitz_ordering(matrix)
         assert quality_loss(ordering, matrix) == pytest.approx(0.0)
 
     def test_random_ordering_has_nonnegative_loss(self, rng):
@@ -45,7 +45,7 @@ class TestQualityLoss:
 
     def test_explicit_reference_size(self, rng):
         matrix = random_dd_matrix(12, 40, rng)
-        ordering = markowitz_ordering(matrix)
+        ordering, _ = markowitz_ordering(matrix)
         reference = markowitz_reference_size(matrix)
         assert quality_loss(ordering, matrix, reference_size=reference) == pytest.approx(0.0)
 
@@ -90,5 +90,5 @@ class TestMarkowitzReference:
         reference = MarkowitzReference()
         reference.precompute(matrices)
         assert set(reference.known_sizes()) == {0, 1, 2}
-        ordering = markowitz_ordering(matrices[1])
+        ordering, _ = markowitz_ordering(matrices[1])
         assert reference.quality_loss(1, ordering, matrices[1]) == pytest.approx(0.0)

@@ -189,7 +189,7 @@ class TestBetaClustering:
         clusters = beta_clustering_cinc(matrices, beta, reference)
         assert clusters_cover_sequence(clusters, len(matrices))
         for cluster in clusters:
-            ordering = markowitz_ordering(matrices[cluster.start])
+            ordering, _ = markowitz_ordering(matrices[cluster.start])
             for index in cluster.indices:
                 loss = quality_loss(
                     ordering, matrices[index],
@@ -205,7 +205,7 @@ class TestBetaClustering:
         assert clusters_cover_sequence(clusters, len(matrices))
         for cluster in clusters:
             members = [matrices[index] for index in cluster.indices]
-            ordering = markowitz_ordering(cluster_union_matrix(members))
+            ordering, _ = markowitz_ordering(cluster_union_matrix(members))
             for index in cluster.indices:
                 loss = quality_loss(
                     ordering, matrices[index],

@@ -99,7 +99,7 @@ def relative_l1_deviation(approx: np.ndarray, truth: np.ndarray) -> float:
 # ---------------------------------------------------------------------- #
 class TestWoodburyCorrector:
     def _factorized(self, matrix):
-        ordering = markowitz_ordering(matrix)
+        ordering, _ = markowitz_ordering(matrix)
         return crout_decompose(ordering.apply(matrix)), ordering
 
     def test_matches_dense_corrected_solve(self, rng):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.datasets.dblp import DBLPConfig, generate_dblp_egs

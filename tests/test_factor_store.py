@@ -37,7 +37,7 @@ from repro.graphs.snapshot import GraphSnapshot
 from repro.query import FactorCache, QueryPlanner, make_query
 from repro.query.spec import FactorizedSystem, SystemKey
 from repro.serve import MeasureServer
-from repro.store import FactorStore, RefreshProvenance
+from repro.store import FactorStore
 from repro.store.factorstore import system_key_digest
 from repro.store.serialize import read_blob, write_blob
 

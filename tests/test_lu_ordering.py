@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DimensionError, NotSymmetricError, OrderingError
-from repro.lu.markowitz import markowitz_cost_bound, markowitz_ordering
+from repro.lu.markowitz import markowitz_ordering
 from repro.lu.mindegree import (
     minimum_degree_ordering,
     symmetric_markowitz_reference,
@@ -35,13 +35,13 @@ def star_matrix(n, centre_first=True):
 class TestMarkowitzOrdering:
     def test_is_a_valid_symmetric_ordering(self, rng):
         matrix = random_dd_matrix(12, 40, rng)
-        ordering = markowitz_ordering(matrix)
+        ordering, _ = markowitz_ordering(matrix)
         assert ordering.is_symmetric()
         assert sorted(ordering.row.order) == list(range(12))
 
     def test_star_hub_ordered_late(self):
         matrix = star_matrix(8, centre_first=True)
-        ordering = markowitz_ordering(matrix)
+        ordering, _ = markowitz_ordering(matrix)
         # The hub (node 0) has the highest Markowitz cost; it must be eliminated
         # only once enough leaves are gone (i.e. among the last two pivots).
         assert 0 in ordering.row.order[-2:]
@@ -49,7 +49,7 @@ class TestMarkowitzOrdering:
     def test_reduces_fill_versus_natural_order(self):
         matrix = star_matrix(10, centre_first=True)
         natural_size = len(symbolic_decomposition(matrix.pattern()))
-        ordering = markowitz_ordering(matrix)
+        ordering, _ = markowitz_ordering(matrix)
         reordered = reorder_pattern(matrix.pattern(), ordering.row.order, ordering.column.order)
         ordered_size = len(symbolic_decomposition(reordered))
         assert ordered_size < natural_size
@@ -61,7 +61,7 @@ class TestMarkowitzOrdering:
         for _ in range(trials):
             matrix = random_dd_matrix(20, 90, rng)
             pattern = matrix.pattern()
-            ordering = markowitz_ordering(matrix)
+            ordering, _ = markowitz_ordering(matrix)
             markowitz_size = len(
                 symbolic_decomposition(
                     reorder_pattern(pattern, ordering.row.order, ordering.column.order)
@@ -77,28 +77,15 @@ class TestMarkowitzOrdering:
 
     def test_accepts_pattern_input(self):
         pattern = SparsityPattern(4, [(0, 1), (1, 0), (2, 3), (3, 2)]).with_full_diagonal()
-        ordering = markowitz_ordering(pattern)
+        ordering, _ = markowitz_ordering(pattern)
         assert sorted(ordering.row.order) == [0, 1, 2, 3]
 
     def test_empty_matrix(self):
-        assert markowitz_ordering(SparseMatrix.zeros(0)).n == 0
+        assert markowitz_ordering(SparseMatrix.zeros(0))[0].n == 0
 
     def test_unknown_tie_break_rejected(self, rng):
         with pytest.raises(DimensionError):
             markowitz_ordering(random_dd_matrix(5, 10, rng), tie_break="random")
-
-    def test_cost_bound_requires_permutation(self):
-        pattern = SparsityPattern(3, [(0, 1)])
-        with pytest.raises(DimensionError):
-            markowitz_cost_bound(pattern, [0, 0, 1])
-
-    def test_cost_bound_zero_for_no_fill_chain(self):
-        indices = {(i, i) for i in range(5)}
-        for i in range(4):
-            indices.add((i, i + 1))
-            indices.add((i + 1, i))
-        pattern = SparsityPattern(5, indices)
-        assert markowitz_cost_bound(pattern) == 4
 
 
 class TestMinimumDegreeOrdering:
@@ -155,5 +142,5 @@ def test_markowitz_ordering_is_always_a_permutation(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 15))
     matrix = random_dd_matrix(n, int(rng.integers(n, 3 * n)), rng)
-    ordering = markowitz_ordering(matrix)
+    ordering, _ = markowitz_ordering(matrix)
     assert sorted(ordering.row.order) == list(range(n))

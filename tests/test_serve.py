@@ -17,7 +17,6 @@ approximation audit passthrough under a QC policy.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest

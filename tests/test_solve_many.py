@@ -128,7 +128,7 @@ class TestSolveManyEqualsColumnwiseSolve:
             if u != v:
                 edges.add((u, v))
         matrix = measure_matrix(GraphSnapshot(400, edges), MatrixKind.RANDOM_WALK, 0.85)
-        factors = crout_decompose(markowitz_ordering(matrix).apply(matrix))
+        factors = crout_decompose(markowitz_ordering(matrix)[0].apply(matrix))
         storage = factors.sweep_storage()
         assert storage.is_narrow(1)
         assert not storage.is_narrow(32)
