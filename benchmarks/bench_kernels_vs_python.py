@@ -10,7 +10,9 @@ an in-file baseline and measures the vectorized CSR kernels against it:
   the paper's measure-time-series access pattern (acceptance floor: > 1x),
 * the narrow (per-column Python) and wide (vectorized NumPy) triangular
   sweeps at k = 1, 4, 16, 64 on an ``n = 400`` RWR system, with the sweep the
-  width rule selects; the two must agree bitwise at every width.
+  width rule selects; the two must agree bitwise at every width, and that
+  system's Crout factors must be bitwise the same whether ``s̃p`` comes from
+  the Markowitz elimination (``pattern=``) or a separate symbolic pass.
 
 Runs standalone in a few seconds::
 
@@ -109,8 +111,8 @@ def measure_matvec_speedup() -> Dict[str, float]:
 def measure_solve_many_speedup() -> Dict[str, float]:
     """Time 64 scalar solves vs. one batched ``solve_many`` on the same factors."""
     matrix = _random_dd(SOLVE_N, SOLVE_AVG_DEGREE, seed=11)
-    ordering, _ = markowitz_ordering(matrix)
-    factors = crout_decompose(ordering.apply(matrix))
+    ordering, pattern = markowitz_ordering(matrix)
+    factors = crout_decompose(ordering.apply(matrix), pattern=pattern)
     block = np.random.default_rng(2).random((SOLVE_N, SOLVE_RHS))
 
     def looped() -> np.ndarray:
@@ -144,10 +146,25 @@ def _rwr_system(n: int, seed: int) -> SparseMatrix:
     return measure_matrix(GraphSnapshot(n, edges), MatrixKind.RANDOM_WALK, 0.85)
 
 
+def _bits(factors) -> tuple:
+    """The factors' index lists, with every value as ``float.hex``."""
+    pivots, l_rows, l_values, u_cols, u_values = factors.sweep_storage()
+
+    def hexed(lists):
+        return [[value.hex() for value in values] for values in lists]
+
+    return [value.hex() for value in pivots], l_rows, hexed(l_values), u_cols, hexed(u_values)
+
+
 def measure_sweeps() -> List[Dict[str, float]]:
     """Time the narrow and wide sweeps of ``solve_many`` at each of ``SWEEP_WIDTHS``."""
     matrix = _rwr_system(SWEEP_N, seed=3)
-    factors = crout_decompose(markowitz_ordering(matrix)[0].apply(matrix))
+    ordering, pattern = markowitz_ordering(matrix)
+    reordered = ordering.apply(matrix)
+    factors = crout_decompose(reordered, pattern=pattern)
+    # Deterministic gate: Crout gives the same bits whether s̃p comes from the
+    # Markowitz elimination or from a separate symbolic pass.
+    assert _bits(factors) == _bits(crout_decompose(reordered))
     storage = factors.sweep_storage()
     rows = []
     for k in SWEEP_WIDTHS:

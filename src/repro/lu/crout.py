@@ -22,6 +22,8 @@ The decomposition follows the two-phase split of Section 2.3 of the paper:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -69,9 +71,10 @@ def crout_decompose_into(
 ) -> None:
     """Decompose ``matrix`` writing the factors into an existing container.
 
-    The container may be growable or sealed over a pattern that covers
-    ``s̃p(matrix)`` (this is what CLUDE does for the first matrix of each
-    cluster).
+    The container is either empty and growable, or sealed over a pattern that
+    covers ``s̃p(matrix)`` (this is what CLUDE does for the first matrix of
+    each cluster).  A growable container that already holds entries raises
+    :class:`~repro.errors.PatternError`.
 
     Parameters
     ----------
@@ -91,49 +94,94 @@ def crout_decompose_into(
         raise PatternError(
             f"factor container dimension {factors.n} does not match matrix dimension {n}"
         )
+    sealed = factors.is_sealed
+    pivots, l_rows, l_values, u_cols, u_values = factors.sweep_storage()
+    if not sealed and (any(pivots) or any(l_rows) or any(u_cols)):
+        raise PatternError("a growable destination for Crout must be empty")
     if pattern is None:
         pattern = symbolic_decomposition(matrix.pattern())
 
-    row_column_sets: List[set] = [set() for _ in range(n)]
+    # row_columns[i]: row i's pattern columns plus the diagonal, ascending.
+    row_columns: List[List[int]] = [[] for _ in range(n)]
     for i, j in pattern:
-        row_column_sets[i].add(j)
-    row_columns: List[List[int]] = []
-    for i in range(n):
-        row_column_sets[i].add(i)
-        row_columns.append(sorted(row_column_sets[i]))
+        row_columns[i].append(j)
+    for i, columns in enumerate(row_columns):
+        if (i, i) not in pattern:
+            columns.append(i)
+        columns.sort()
 
-    # factor_rows[k] caches row k's strictly-upper U values for elimination.
-    upper_rows: List[dict] = [dict() for _ in range(n)]
+    indptr = matrix.indptr.tolist()
+    stored_columns = matrix.indices.tolist()
+    stored_values = matrix.data.tolist()
+    # upper_cols[k] / upper_values[k]: row k of U for elimination — every
+    # pattern position right of the diagonal, zeros included.
+    upper_cols: List[List[int]] = [[] for _ in range(n)]
+    upper_values: List[List[float]] = [[] for _ in range(n)]
 
+    # The working row, dense: pattern positions hold floats, every other
+    # position None, so an update outside the pattern raises TypeError.
+    work: List[Optional[float]] = [None] * n
     for i in range(n):
-        # One vectorized row extraction replaces a per-entry binary search.
-        stored = matrix.row(i)
-        work = {j: stored.get(j, 0.0) for j in row_columns[i]}
-        for k in sorted(j for j in work if j < i):
-            l_ik = work[k]
-            if l_ik == 0.0:
-                continue
-            for j, u_kj in upper_rows[k].items():
-                if j in work:
+        columns = row_columns[i]
+        diagonal = bisect_left(columns, i)
+        for j in columns:
+            work[j] = 0.0
+        start, end = indptr[i], indptr[i + 1]
+        for j, value in zip(stored_columns[start:end], stored_values[start:end]):
+            if work[j] is not None:
+                work[j] = value
+        try:
+            for k in columns[:diagonal]:
+                l_ik = work[k]
+                if l_ik == 0.0:
+                    continue
+                for j, u_kj in zip(upper_cols[k], upper_values[k]):
                     work[j] -= l_ik * u_kj
-                else:
-                    raise PatternError(
-                        f"fill-in at ({i}, {j}) falls outside the symbolic pattern"
-                    )
-        pivot = work.get(i, 0.0)
+        except TypeError:
+            raise PatternError(
+                f"fill-in at ({i}, {j}) falls outside the symbolic pattern"
+            ) from None
+        values = [work[j] for j in columns]
+        for j in columns:
+            work[j] = None
+        pivot = values[diagonal]
         if abs(pivot) <= pivot_tolerance:
             raise SingularMatrixError(i, pivot)
-        row_upper: dict = {}
-        for j, value in work.items():
-            if j < i:
-                factors.l_set(i, j, value)
-            elif j == i:
-                factors.set_l_diagonal(i, pivot)
+        row_cols = columns[diagonal + 1:]
+        row_values = [value / pivot for value in values[diagonal + 1:]]
+        upper_cols[i] = row_cols
+        upper_values[i] = row_values
+
+        pivots[i] = pivot
+        lower = values[:diagonal]
+        if sealed:
+            for j, value in zip(columns, lower):
+                l_values[j][_slot(l_rows[j], i, (i, j))] = value
+            if u_cols[i] == row_cols:
+                u_values[i][:] = row_values
             else:
-                scaled = value / pivot
-                row_upper[j] = scaled
-                factors.u_set(i, j, scaled)
-        upper_rows[i] = row_upper
+                for j, value in zip(row_cols, row_values):
+                    u_values[i][_slot(u_cols[i], j, (i, j))] = value
+        else:
+            # Rows arrive in ascending order, so appending keeps every L
+            # column sorted; zeros (-0.0 included) are not stored.
+            for j, value in compress(zip(columns, lower), lower):
+                l_rows[j].append(i)
+                l_values[j].append(value)
+            u_cols[i].extend(compress(row_cols, row_values))
+            u_values[i].extend(filter(None, row_values))
+    if not sealed:
+        factors.structural_ops += sum(map(len, l_rows)) + sum(map(len, u_cols))
+
+
+def _slot(indices: List[int], index: int, where: Tuple[int, int]) -> int:
+    """Position of ``index`` in one sealed sorted list; a missing slot raises."""
+    slot = bisect_left(indices, index)
+    if slot == len(indices) or indices[slot] != index:
+        raise PatternError(
+            f"position {where} is outside the universal symbolic sparsity pattern"
+        )
+    return slot
 
 
 def crout_decompose_dense(

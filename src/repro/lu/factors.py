@@ -25,8 +25,9 @@ sets one of two modes:
 
 Element access (``l_get``/``l_set``/``u_get``/``u_set``,
 ``l_diagonal``/``set_l_diagonal``) and the entry views
-(``l_column_entries``/``u_row_entries``) serve Crout, the store and the
-tests; the sweeps read and write the lists directly.
+(``l_column_entries``/``u_row_entries``) serve the tests; Crout
+(:mod:`repro.lu.crout`), the store and the sweeps read and write the lists
+directly.
 """
 
 from __future__ import annotations

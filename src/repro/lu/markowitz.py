@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 from typing import List, Set, Tuple, Union
 
-from repro.errors import DimensionError
 from repro.sparse.csr import SparseMatrix
 from repro.sparse.pattern import SparsityPattern
 from repro.sparse.permutation import Ordering
@@ -36,17 +35,16 @@ from repro.sparse.permutation import Ordering
 
 def markowitz_ordering(
     matrix_or_pattern: Union[SparseMatrix, SparsityPattern],
-    tie_break: str = "index",
 ) -> Tuple[Ordering, SparsityPattern]:
     """Return the Markowitz ordering ``O*(A)`` and ``s̃p(A^{O*})``.
+
+    Equal Markowitz costs resolve to the smallest original index, which keeps
+    the ordering deterministic.
 
     Parameters
     ----------
     matrix_or_pattern:
         The matrix (or just its sparsity pattern) to order.
-    tie_break:
-        ``"index"`` (default) resolves equal Markowitz costs by the smallest
-        original index, which keeps the ordering deterministic.
 
     Returns
     -------
@@ -56,8 +54,6 @@ def markowitz_ordering(
         diagonal included — exactly
         ``symbolic_decomposition(ordering.apply(A).pattern())``.
     """
-    if tie_break != "index":
-        raise DimensionError(f"unsupported tie-break strategy: {tie_break!r}")
     pattern = (
         matrix_or_pattern.pattern()
         if isinstance(matrix_or_pattern, SparseMatrix)
@@ -66,7 +62,9 @@ def markowitz_ordering(
     n = pattern.n
 
     # Active structure: row_sets[i] = columns with entries in row i (diagonal
-    # excluded), column_sets[j] = rows with entries in column j.
+    # excluded), column_sets[j] = rows with entries in column j.  A live
+    # vertex's sets only ever hold live vertices: eliminating a pivot removes
+    # it from every set it was in.
     row_sets: List[Set[int]] = [set() for _ in range(n)]
     column_sets: List[Set[int]] = [set() for _ in range(n)]
     for i, j in pattern:
@@ -74,52 +72,59 @@ def markowitz_ordering(
             row_sets[i].add(j)
             column_sets[j].add(i)
 
-    eliminated = [False] * n
     order: List[int] = []
     # Step k's pivot row (U's row k) and pivot column (L's column k), in
     # original indices.
     upper: List[Set[int]] = []
     lower: List[Set[int]] = []
 
-    # Lazy-deletion heap of (markowitz_cost, index, stamp).  Stale entries are
-    # skipped when their recorded cost no longer matches the live cost.
-    def cost_of(v: int) -> int:
-        return len(row_sets[v]) * len(column_sets[v])
-
-    heap = [(cost_of(v), v) for v in range(n)]
+    # Lazy-deletion heap of (markowitz_cost, index).  queued[v] is the cost
+    # of v's latest entry and never exceeds v's live cost (-1 once v is
+    # eliminated).  A touched vertex is pushed only when its live cost drops
+    # below queued[v]; popping v's queued entry while it is stale re-pushes
+    # the live cost, and every other popped entry of v is dropped.  So each
+    # live vertex keeps an entry at or below its live cost, and the first
+    # pop whose cost equals the live cost is the argmin of (cost, index).
+    queued = [len(row_sets[v]) * len(column_sets[v]) for v in range(n)]
+    heap = list(zip(queued, range(n)))
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     for _ in range(n):
         while True:
-            cost, pivot = heapq.heappop(heap)
-            if eliminated[pivot]:
+            cost, pivot = heappop(heap)
+            if cost != queued[pivot]:
                 continue
-            if cost != cost_of(pivot):
-                heapq.heappush(heap, (cost_of(pivot), pivot))
-                continue
-            break
+            live = len(row_sets[pivot]) * len(column_sets[pivot])
+            if cost == live:
+                break
+            queued[pivot] = live
+            heappush(heap, (live, pivot))
         order.append(pivot)
-        eliminated[pivot] = True
+        queued[pivot] = -1
 
         # Symbolic elimination of the pivot: every remaining row with an entry
         # in the pivot column inherits the pivot row's remaining columns.
-        pivot_row = {j for j in row_sets[pivot] if not eliminated[j]}
-        pivot_column = {i for i in column_sets[pivot] if not eliminated[i]}
+        pivot_row = row_sets[pivot]
+        pivot_column = column_sets[pivot]
         upper.append(pivot_row)
         lower.append(pivot_column)
         for i in pivot_column:
-            row_sets[i].discard(pivot)
-            for j in pivot_row:
-                if j != i and j not in row_sets[i]:
-                    row_sets[i].add(j)
-                    column_sets[j].add(i)
+            row = row_sets[i]
+            row.discard(pivot)
+            fill = pivot_row - row
+            fill.discard(i)
+            row |= fill
+            for j in fill:
+                column_sets[j].add(i)
         for j in pivot_row:
             column_sets[j].discard(pivot)
-        # Push refreshed costs for the touched vertices.
-        touched = pivot_row | pivot_column
-        for v in touched:
-            if not eliminated[v]:
-                heapq.heappush(heap, (cost_of(v), v))
+        # Queue the touched vertices whose cost fell below their queued entry.
+        for v in pivot_row | pivot_column:
+            cost = len(row_sets[v]) * len(column_sets[v])
+            if cost < queued[v]:
+                queued[v] = cost
+                heappush(heap, (cost, v))
 
     position = [0] * n
     for k, original in enumerate(order):

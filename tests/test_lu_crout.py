@@ -92,6 +92,74 @@ class TestSparseCrout:
         with pytest.raises(PatternError):
             crout_decompose_into(matrix, wrong)
 
+    def test_non_empty_growable_destination_rejected(self, rng):
+        matrix = random_dd_matrix(6, 15, rng)
+        used = crout_decompose(matrix)
+        with pytest.raises(PatternError):
+            crout_decompose_into(matrix, used)
+
+
+def _reference_crout_into(matrix, factors, pattern):
+    """Crout writing one entry at a time through ``l_set``/``u_set``."""
+    n = matrix.n
+    row_columns = [sorted({j for r, j in pattern if r == i} | {i}) for i in range(n)]
+    upper_rows = [dict() for _ in range(n)]
+    for i in range(n):
+        stored = matrix.row(i)
+        work = {j: stored.get(j, 0.0) for j in row_columns[i]}
+        for k in sorted(j for j in work if j < i):
+            l_ik = work[k]
+            if l_ik == 0.0:
+                continue
+            for j, u_kj in upper_rows[k].items():
+                work[j] -= l_ik * u_kj
+        pivot = work[i]
+        for j, value in work.items():
+            if j < i:
+                factors.l_set(i, j, value)
+            elif j == i:
+                factors.set_l_diagonal(i, pivot)
+            else:
+                upper_rows[i][j] = value / pivot
+                factors.u_set(i, j, value / pivot)
+
+
+def _hex_storage(factors):
+    """Pivots, L columns and U rows with every value as ``float.hex``."""
+    pivots, l_rows, l_values, u_cols, u_values = factors.sweep_storage()
+    return (
+        [value.hex() for value in pivots],
+        [(list(rows), [value.hex() for value in values]) for rows, values in zip(l_rows, l_values)],
+        [(list(cols), [value.hex() for value in values]) for cols, values in zip(u_cols, u_values)],
+    )
+
+
+@given(seed=st.integers(0, 10_000), sealed=st.booleans(), widen=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_crout_is_bitwise_the_per_entry_writer(seed, sealed, widen):
+    """Pivots, L and U match the per-entry reference bit for bit.
+
+    Rows are negated at random, so pivots can be negative and the zero slots
+    of a sealed (or widened) pattern then hold ``-0.0``.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 16))
+    dense = random_dd_matrix(n, int(rng.integers(0, 4 * n)), rng).to_dense()
+    dense *= rng.choice([-1.0, 1.0], size=(n, 1))
+    matrix = SparseMatrix.from_dense(dense)
+    pattern = symbolic_decomposition(matrix.pattern())
+    if widen:
+        other = random_dd_matrix(n, 2 * n, rng).pattern()
+        pattern = symbolic_decomposition(matrix.pattern() | other)
+    if sealed:
+        factors, reference = LUFactors.sealed(pattern), LUFactors.sealed(pattern)
+    else:
+        factors, reference = LUFactors(n), LUFactors(n)
+    crout_decompose_into(matrix, factors, pattern=pattern)
+    _reference_crout_into(matrix, reference, pattern)
+    assert _hex_storage(factors) == _hex_storage(reference)
+    assert factors.structural_ops == reference.structural_ops
+
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DimensionError, NotSymmetricError, OrderingError
+from repro.errors import NotSymmetricError, OrderingError
 from repro.lu.markowitz import markowitz_ordering
 from repro.lu.mindegree import (
     minimum_degree_ordering,
@@ -83,9 +83,13 @@ class TestMarkowitzOrdering:
     def test_empty_matrix(self):
         assert markowitz_ordering(SparseMatrix.zeros(0))[0].n == 0
 
-    def test_unknown_tie_break_rejected(self, rng):
-        with pytest.raises(DimensionError):
-            markowitz_ordering(random_dd_matrix(5, 10, rng), tie_break="random")
+    def test_equal_costs_resolve_to_smaller_index(self):
+        # 1 and 3 are isolated (cost 0); 0 and 2 form a 2-cycle (cost 1 each).
+        # Once 0 is gone, 2's cost drops to 0.
+        pattern = SparsityPattern(4, [(0, 2), (2, 0)]).with_full_diagonal()
+        ordering, _ = markowitz_ordering(pattern)
+        assert ordering.row.order == [1, 3, 0, 2]
+        assert markowitz_ordering(SparseMatrix.identity(5))[0].row.order == [0, 1, 2, 3, 4]
 
 
 class TestMinimumDegreeOrdering:

@@ -1,7 +1,8 @@
 """One Markowitz elimination yields both the order and ``s̃p(A^O)``.
 
 :func:`markowitz_ordering` returns the symbolic sparsity pattern its own
-elimination builds.  These tests pin that pattern to the independent
+elimination builds.  These tests pin the order and that pattern to a
+brute-force argmin reference, pin the pattern to the independent
 :func:`symbolic_decomposition` of the reordered matrix (non-symmetric inputs,
 missing diagonals, n = 0 and 1), pin CLUDE's sealed structure to
 :func:`universal_symbolic_pattern`, and check that no Markowitz-ordered
@@ -66,6 +67,64 @@ def test_pattern_is_symbolic_decomposition_of_reordered_matrix(pattern):
     matrix = _indicator(pattern)
     ordering, recorded = markowitz_ordering(matrix)
     assert recorded == symbolic_decomposition(ordering.apply(matrix).pattern())
+
+
+def _reference_markowitz(pattern: SparsityPattern):
+    """Brute-force O(n²) Markowitz: scan every live vertex for the argmin of
+    ``(cost, index)`` at each step, then eliminate it symbolically."""
+    n = pattern.n
+    rows = [set() for _ in range(n)]
+    columns = [set() for _ in range(n)]
+    for i, j in pattern:
+        if i != j:
+            rows[i].add(j)
+            columns[j].add(i)
+    live = set(range(n))
+    order = []
+    eliminated = []
+    for _ in range(n):
+        pivot = min(live, key=lambda v: (len(rows[v]) * len(columns[v]), v))
+        live.remove(pivot)
+        order.append(pivot)
+        pivot_row, pivot_column = rows[pivot] & live, columns[pivot] & live
+        eliminated.append((pivot_row, pivot_column))
+        for i in pivot_column:
+            rows[i].discard(pivot)
+            for j in pivot_row:
+                if j != i:
+                    rows[i].add(j)
+                    columns[j].add(i)
+        for j in pivot_row:
+            columns[j].discard(pivot)
+    position = {original: k for k, original in enumerate(order)}
+    indices = {(k, k) for k in range(n)}
+    for k, (pivot_row, pivot_column) in enumerate(eliminated):
+        indices.update((k, position[j]) for j in pivot_row)
+        indices.update((position[i], k) for i in pivot_column)
+    return order, SparsityPattern(n, indices)
+
+
+@st.composite
+def seeded_patterns(draw):
+    """Larger random patterns, dense enough that fill raises costs mid-run."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 60))
+    rows, columns = rng.integers(0, n, size=(2, int(rng.integers(n, 4 * n))))
+    entries = set(zip(rows.tolist(), columns.tolist()))
+    entries.update((k, k) for k in range(n) if rng.random() < 0.8)
+    if rng.random() < 0.3:
+        entries.update((j, i) for i, j in list(entries))
+    return SparsityPattern(n, entries)
+
+
+@given(pattern=st.one_of(patterns(), seeded_patterns()))
+@settings(max_examples=300, deadline=None)
+def test_matches_brute_force_reference(pattern):
+    """Same pivot at every step and the same s̃p as the O(n²) argmin scan."""
+    ordering, recorded = markowitz_ordering(pattern)
+    order, reference = _reference_markowitz(pattern)
+    assert ordering.row.order == order
+    assert recorded == reference
 
 
 @pytest.mark.parametrize("n", [0, 1])
