@@ -35,8 +35,8 @@ def _measure_latencies():
     walk = column_normalized_matrix(snapshot)
     n = matrix.n
 
-    ordering, _ = markowitz_ordering(matrix)
-    factors = crout_decompose(ordering.apply(matrix))
+    ordering, pattern = markowitz_ordering(matrix)
+    factors = crout_decompose(ordering.apply(matrix), pattern=pattern)
 
     query_nodes = [1, 7, 17, 40, 99]
     timings = {}

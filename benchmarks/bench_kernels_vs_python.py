@@ -10,9 +10,12 @@ an in-file baseline and measures the vectorized CSR kernels against it:
   the paper's measure-time-series access pattern (acceptance floor: > 1x),
 * the narrow (per-column Python) and wide (vectorized NumPy) triangular
   sweeps at k = 1, 4, 16, 64 on an ``n = 400`` RWR system, with the sweep the
-  width rule selects; the two must agree bitwise at every width, and that
-  system's Crout factors must be bitwise the same whether ``s̃p`` comes from
-  the Markowitz elimination (``pattern=``) or a separate symbolic pass.
+  width rule selects, plus a one-hot k = 1 and a two-seed k = 4 block shaped
+  like the RWR/PPR queries' right-hand sides, where the narrow forward sweep
+  skips the columns of ``L`` whose ``x[j]`` is zero.  The two sweeps must
+  agree bitwise on every block, and that system's Crout factors must be
+  bitwise the same whether ``s̃p`` comes from the Markowitz elimination
+  (``pattern=``) or a separate symbolic pass.
 
 Runs standalone in a few seconds::
 
@@ -46,6 +49,8 @@ SOLVE_REPS = 3
 SWEEP_N = 400
 SWEEP_WIDTHS = (1, 4, 16, 64)
 SWEEP_REPS = 5
+#: Sparse right-hand sides ``(1 - d)·q``: (label, k, seeds per column).
+SPARSE_SWEEPS = (("one-hot", 1, 1), ("two-seed", 4, 2))
 
 
 class DictOfDictsMatvec:
@@ -156,8 +161,16 @@ def _bits(factors) -> tuple:
     return [value.hex() for value in pivots], l_rows, hexed(l_values), u_cols, hexed(u_values)
 
 
-def measure_sweeps() -> List[Dict[str, float]]:
-    """Time the narrow and wide sweeps of ``solve_many`` at each of ``SWEEP_WIDTHS``."""
+def _seeded_block(n: int, k: int, seeds: int, rng: np.random.Generator) -> np.ndarray:
+    """``(1 - d)`` spread over ``seeds`` random rows of each of ``k`` columns."""
+    block = np.zeros((n, k))
+    for column in range(k):
+        block[rng.choice(n, size=seeds, replace=False), column] = 0.15 / seeds
+    return block
+
+
+def measure_sweeps() -> List[Dict[str, object]]:
+    """Time both sweeps on dense blocks at ``SWEEP_WIDTHS``, then on ``SPARSE_SWEEPS``."""
     matrix = _rwr_system(SWEEP_N, seed=3)
     ordering, pattern = markowitz_ordering(matrix)
     reordered = ordering.apply(matrix)
@@ -166,12 +179,18 @@ def measure_sweeps() -> List[Dict[str, float]]:
     # Markowitz elimination or from a separate symbolic pass.
     assert _bits(factors) == _bits(crout_decompose(reordered))
     storage = factors.sweep_storage()
+    blocks = [("dense", np.random.default_rng(k).random((SWEEP_N, k))) for k in SWEEP_WIDTHS]
+    blocks += [
+        (label, _seeded_block(SWEEP_N, k, seeds, np.random.default_rng(k)))
+        for label, k, seeds in SPARSE_SWEEPS
+    ]
     rows = []
-    for k in SWEEP_WIDTHS:
-        block = np.random.default_rng(k).random((SWEEP_N, k))
-        # Deterministic gate: both sweeps give the same bits at every width.
+    for label, block in blocks:
+        k = block.shape[1]
+        # Deterministic gate: both sweeps give the same bits on every block.
         assert narrow_sweep(factors, block).tobytes() == wide_sweep(factors, block).tobytes()
         rows.append({
+            "rhs": label,
             "k": float(k),
             "narrow_ms": _best_of(SWEEP_REPS, narrow_sweep, factors, block) * 1e3,
             "wide_ms": _best_of(SWEEP_REPS, wide_sweep, factors, block) * 1e3,
@@ -181,7 +200,7 @@ def measure_sweeps() -> List[Dict[str, float]]:
 
 
 def _report(
-    matvec: Dict[str, float], solve: Dict[str, float], sweeps: List[Dict[str, float]]
+    matvec: Dict[str, float], solve: Dict[str, float], sweeps: List[Dict[str, object]]
 ) -> None:
     print("\n== CSR kernels vs. seed dict-of-dicts loops ==")
     print(
@@ -197,7 +216,8 @@ def _report(
     for row in sweeps:
         picked = "narrow" if row["selects_narrow"] else "wide"
         print(
-            f"solve_many n={SWEEP_N} k={int(row['k'])}: narrow {row['narrow_ms']:.3f} ms, "
+            f"solve_many n={SWEEP_N} k={int(row['k'])} {row['rhs']}: "
+            f"narrow {row['narrow_ms']:.3f} ms, "
             f"wide {row['wide_ms']:.3f} ms (selects {picked}; bitwise equal)"
         )
 

@@ -13,12 +13,15 @@ sweep) is handled by the ``*_many`` variants from
 (``sweep_storage()``) and choose the sweep from the block's width: narrow
 blocks are solved column by column in Python float arithmetic, wide ones by
 one NumPy sweep that updates every column at once.  Both sweeps perform the
-same floating-point operations in the same order for every element (the
-narrow backward sweep runs over ``U``'s rows, the wide one over its columns,
-and each ``x[i]`` still receives its updates in descending column order).
-The scalar routines here are one-column calls of those kernels, so scalar
-and batched answers are bitwise identical column for column by
-construction.
+same floating-point operations in the same order for every element, except
+that the narrow forward sweep omits updates that are exact no-ops: it skips
+``L``'s column ``j`` when ``y[j] == 0``, the block holds no ``-0.0`` and
+every stored value of ``L`` is finite.  The narrow backward sweep runs over
+``U``'s rows, the wide one over its columns, and each ``x[i]`` still
+receives its updates in descending column order.  So both sweeps give
+bitwise identical results.  The scalar routines here are one-column calls
+of those kernels, so scalar and batched answers are bitwise identical
+column for column by construction.
 """
 
 from __future__ import annotations

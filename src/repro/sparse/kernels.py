@@ -29,23 +29,29 @@ Determinism contract
 --------------------
 All reductions are performed with ``np.bincount`` (sequential per bin, input
 order) or with per-column elementwise scatter updates.  Both triangular
-sweeps give every element exactly the same IEEE operations in the same
-order.  Forward, ``y[i]`` receives ``- L[i, j] · y[j]`` for ``j`` ascending
-and is then divided by its pivot.  Backward, the column sweep subtracts
-``U[i, j] · x[j]`` from ``x[i]`` for ``j`` descending (it visits columns
-from ``n - 1`` down); the row sweep walks row ``i``'s entries from the
-largest ``j`` down, which is the same sequence, and each ``x[j]`` with
-``j > i`` is already final in both.  So the narrow and wide sweeps are
-bitwise identical, and a block of ``k`` right-hand sides equals, column for
-column, ``k`` separate solves.  The scalar substitution routines in
-:mod:`repro.lu.solve` are ``k = 1`` calls of these kernels, which is what
-lets the test-suite assert bitwise equality between batched and scalar
-measure series.
+sweeps give every element the same IEEE operations in the same order,
+except that the narrow forward sweep omits updates that are exact no-ops.
+Forward, ``y[i]`` receives ``- L[i, j] · y[j]`` for ``j`` ascending and is
+then divided by its pivot; the narrow sweep skips column ``j`` when
+``y[j] == 0``, but only when the block holds no ``-0.0`` and every stored
+value of ``L`` is finite, because then ``y[i] - L[i, j] · (±0.0)`` is
+``y[i]`` itself.  Every ``y[j]`` is still divided by its pivot, so a
+``-0.0`` that the division produces reaches the backward sweep as before.
+Backward, the column sweep subtracts ``U[i, j] · x[j]`` from ``x[i]`` for
+``j`` descending (it visits columns from ``n - 1`` down); the row sweep
+walks row ``i``'s entries from the largest ``j`` down, which is the same
+sequence, and each ``x[j]`` with ``j > i`` is already final in both.  So
+the narrow and wide sweeps are bitwise identical, and a block of ``k``
+right-hand sides equals, column for column, ``k`` separate solves.  The
+scalar substitution routines in :mod:`repro.lu.solve` are ``k = 1`` calls
+of these kernels, which is what lets the test-suite assert bitwise
+equality between batched and scalar measure series.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
+from math import isfinite
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -348,18 +354,45 @@ def _as_rhs_block(n: int, block) -> np.ndarray:
     return array
 
 
+def _zero_skip_is_exact(block: np.ndarray, l_values: Sequence[Sequence[float]]) -> bool:
+    """Whether the forward sweep may skip ``L``'s column ``j`` when ``x[j] == 0``.
+
+    The skipped update ``x[i] -= v · (±0.0)`` leaves ``x[i]`` unchanged when
+    ``v`` is finite and ``x[i]`` is not ``-0.0``.  ``a - b`` is ``-0.0`` only
+    when ``a`` is, so a block without ``-0.0`` never produces one in a row the
+    sweep has yet to reach, and an ``inf`` or NaN anywhere in ``L`` makes the
+    sum of its values non-finite.  A NaN ``x[i]`` ends with the same bits
+    either way: the skipped subtraction would only quiet it, and the
+    division by its pivot quiets it anyway.  A block without zeros is not
+    checked, since a zero reached by cancellation is too rare to pay for
+    the check.
+    """
+    zeros = block == 0.0
+    return (
+        bool(zeros.any())
+        and not np.signbit(block[zeros]).any()
+        and isfinite(sum(chain.from_iterable(l_values)))
+    )
+
+
 def _narrow(block: np.ndarray, storage: SweepStorage, forward: bool, backward: bool) -> None:
-    """Sweep each column of ``block`` in place with Python float arithmetic."""
+    """Sweep each column of ``block`` in place with Python float arithmetic.
+
+    Forward, column ``j`` of ``L`` is skipped when ``x[j] == 0`` and
+    :func:`_zero_skip_is_exact` holds for the block, which keeps every bit.
+    """
     pivots, l_rows, l_values, u_cols, u_values = storage
     n = len(pivots)
+    skip = forward and _zero_skip_is_exact(block, l_values)
     for c in range(block.shape[1]):
         x = block[:, c].tolist()
         if forward:
             for j, pivot in enumerate(pivots):
                 xj = x[j] / pivot
                 x[j] = xj
-                for i, value in zip(l_rows[j], l_values[j]):
-                    x[i] -= value * xj
+                if xj or not skip:
+                    for i, value in zip(l_rows[j], l_values[j]):
+                        x[i] -= value * xj
         if backward:
             for i in range(n - 1, -1, -1):
                 cols = u_cols[i]

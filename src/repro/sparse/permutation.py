@@ -24,7 +24,7 @@ from repro.sparse.csr import SparseMatrix
 class Permutation:
     """A permutation of ``{0, …, n-1}`` stored as "new position -> original index"."""
 
-    __slots__ = ("_order",)
+    __slots__ = ("_order", "_index")
 
     def __init__(self, order: Sequence[int]) -> None:
         order_list = [int(x) for x in order]
@@ -32,6 +32,12 @@ class Permutation:
         if sorted(order_list) != list(range(n)):
             raise OrderingError(f"not a permutation of 0..{n - 1}: {order_list}")
         self._order = order_list
+        self._index = np.array(order_list, dtype=np.intp)
+        self._index.flags.writeable = False
+
+    def __reduce__(self):
+        """Pickle the order list alone; loading rebuilds the read-only index."""
+        return (Permutation, (self._order,))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -47,6 +53,11 @@ class Permutation:
     def order(self) -> List[int]:
         """The "new -> original" index list (a copy)."""
         return list(self._order)
+
+    @property
+    def index(self) -> np.ndarray:
+        """The "new -> original" indices as a read-only ``np.intp`` array."""
+        return self._index
 
     def __len__(self) -> int:
         return len(self._order)
@@ -92,7 +103,7 @@ class Permutation:
             raise DimensionError(
                 f"vector of shape {array.shape} incompatible with permutation size {len(self._order)}"
             )
-        return array[self._order]
+        return array[self._index]
 
     def to_matrix(self) -> SparseMatrix:
         """Return the explicit permutation matrix ``P`` with ``P[k, self[k]] = 1``."""
@@ -171,7 +182,7 @@ class Ordering:
             raise DimensionError(
                 f"matrix dimension {matrix.n} incompatible with ordering size {self.n}"
             )
-        return matrix.permuted(self._row.order, self._column.order)
+        return matrix.permuted(self._row.index, self._column.index)
 
     def map_entries(self, entries) -> dict:
         """Map sparse entries given in original coordinates into reordered coordinates.
@@ -198,7 +209,7 @@ class Ordering:
             raise DimensionError(
                 f"block of shape {array.shape} incompatible with ordering size {self.n}"
             )
-        return array[self._row.order, :]
+        return array[self._row.index, :]
 
     def unpermute_solution(self, x_prime: Sequence[float]) -> np.ndarray:
         """Map a solution of ``A^O x' = P b`` back to the original ``x = Q x'``.
@@ -212,7 +223,7 @@ class Ordering:
                 f"vector of shape {array.shape} incompatible with ordering size {self.n}"
             )
         x = np.zeros(self.n, dtype=float)
-        x[self._column.order] = array
+        x[self._column.index] = array
         return x
 
     def unpermute_solution_many(self, block) -> np.ndarray:
@@ -223,7 +234,7 @@ class Ordering:
                 f"block of shape {array.shape} incompatible with ordering size {self.n}"
             )
         x = np.empty_like(array)
-        x[self._column.order, :] = array
+        x[self._column.index, :] = array
         return x
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,50 @@ class TestPermutation:
         p = Permutation([1, 0])
         dense = p.to_matrix().to_dense()
         assert np.allclose(dense, [[0, 1], [1, 0]])
+
+
+class TestPermutationIndex:
+    def test_index_is_a_read_only_intp_array(self):
+        p = Permutation([2, 0, 1])
+        assert p.index.dtype == np.intp
+        assert p.index.tolist() == [2, 0, 1]
+        assert not p.index.flags.writeable
+        with pytest.raises(ValueError):
+            p.index[0] = 1
+        assert p.index is p.index  # built once, not per access
+
+    def test_order_is_still_a_fresh_list(self):
+        p = Permutation([2, 0, 1])
+        order = p.order
+        assert type(order) is list and order == [2, 0, 1]
+        assert p.order is not order
+        order[0] = 0
+        assert p.order == [2, 0, 1]
+        assert p.index.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda value: pickle.loads(pickle.dumps(value)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_round_trips_keep_equality_hash_and_bits(self, round_trip, rng):
+        ordering = Ordering(Permutation(rng.permutation(9)), Permutation(rng.permutation(9)))
+        copied = round_trip(ordering)
+        assert copied == ordering and hash(copied) == hash(ordering)
+        for original, clone in ((ordering.row, copied.row), (ordering.column, copied.column)):
+            assert clone == original and hash(clone) == hash(original)
+            assert clone.order == original.order
+            assert not clone.index.flags.writeable
+        block = rng.standard_normal((9, 3))
+        assert copied.permute_rhs_many(block).tobytes() == ordering.permute_rhs_many(block).tobytes()
+        assert (
+            copied.unpermute_solution_many(block).tobytes()
+            == ordering.unpermute_solution_many(block).tobytes()
+        )
+        assert copied.permute_rhs(block[:, 0]).tobytes() == ordering.permute_rhs(block[:, 0]).tobytes()
+        assert (
+            copied.unpermute_solution(block[:, 0]).tobytes()
+            == ordering.unpermute_solution(block[:, 0]).tobytes()
+        )
 
 
 class TestOrdering:

@@ -26,7 +26,8 @@ from repro.measures.pagerank import pagerank_rhs, pagerank_series
 from repro.measures.rwr import rwr_scores, rwr_scores_many
 from repro.measures.timeseries import MeasureSeries
 from repro.measures.base import SnapshotMeasureSolver
-from repro.sparse.kernels import narrow_sweep, wide_sweep
+from repro.sparse.csr import SparseMatrix
+from repro.sparse.kernels import _zero_skip_is_exact, narrow_sweep, wide_sweep
 from tests.conftest import random_dd_matrix
 
 ALGORITHMS = available_algorithms()
@@ -74,6 +75,53 @@ def _assert_sweeps_agree(factors, block):
         assert narrow[:, column].tobytes() == scalar.tobytes()
 
 
+def _reference_narrow(factors, block, forward=True, backward=True):
+    """The narrow sweep without the zero skip: every update of every column."""
+    pivots, l_rows, l_values, u_cols, u_values = factors.sweep_storage()
+    block = np.array(block, dtype=np.float64)
+    for c in range(block.shape[1]):
+        x = block[:, c].tolist()
+        if forward:
+            for j, pivot in enumerate(pivots):
+                xj = x[j] / pivot
+                x[j] = xj
+                for i, value in zip(l_rows[j], l_values[j]):
+                    x[i] -= value * xj
+        if backward:
+            for i in range(len(pivots) - 1, -1, -1):
+                xi = x[i]
+                for j, value in zip(reversed(u_cols[i]), reversed(u_values[i])):
+                    xi -= value * x[j]
+                x[i] = xi
+        block[:, c] = x
+    return block
+
+
+def _assert_matches_reference(factors, block):
+    """The narrow sweep equals the unskipped reference bit for bit, each way."""
+    for forward, backward in ((True, True), (True, False), (False, True)):
+        assert (
+            narrow_sweep(factors, block, forward, backward).tobytes()
+            == _reference_narrow(factors, block, forward, backward).tobytes()
+        )
+
+
+def _sparse_block(shape: str, n: int, k: int, rng) -> np.ndarray:
+    """A right-hand-side block shaped like the serving RHS: mostly zeros."""
+    block = np.zeros((n, k))
+    if n == 0:
+        return block
+    for column in range(k):
+        if shape == "one_hot":
+            block[rng.integers(n), column] = 0.15
+        elif shape == "two_seed":
+            block[rng.integers(n, size=2), column] = 0.075
+        else:
+            dense = rng.random(n) < 0.3
+            block[dense, column] = rng.standard_normal(int(dense.sum()))
+    return block
+
+
 class TestSolveManyEqualsColumnwiseSolve:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_all_engines_all_snapshots(self, algorithm, small_ems):
@@ -119,6 +167,57 @@ class TestSolveManyEqualsColumnwiseSolve:
             block = rng.standard_normal((n, k))
             for factors in containers:
                 _assert_sweeps_agree(factors, block)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 2, 5, 40]),
+        n=st.sampled_from([0, 1, 12, 120]),
+        shape=st.sampled_from(["one_hot", "two_seed", "mostly_zero"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_zero_skip_keeps_every_bit(self, seed, k, n, shape):
+        rng = np.random.default_rng(seed)
+        block = _sparse_block(shape, n, k, rng)
+        for factors in _dynamic_and_static(random_dd_matrix(n, 3 * n, rng)):
+            # The skip is live whenever the block holds a zero.
+            live = _zero_skip_is_exact(block, factors.sweep_storage().l_values)
+            assert live == (block == 0.0).any()
+            _assert_sweeps_agree(factors, block)
+            _assert_matches_reference(factors, block)
+
+    def test_negative_zeros_in_the_block(self):
+        rng = np.random.default_rng(11)
+        block = _sparse_block("mostly_zero", 120, 3, rng)
+        zeros = block == 0.0
+        block[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        for factors in _dynamic_and_static(random_dd_matrix(120, 360, rng)):
+            assert not _zero_skip_is_exact(block, factors.sweep_storage().l_values)
+            _assert_sweeps_agree(factors, block)
+            _assert_matches_reference(factors, block)
+
+    def test_non_finite_factor_entries(self):
+        matrix = SparseMatrix(3, {(0, 0): 2.0, (1, 1): 3.0, (2, 2): 4.0, (2, 0): np.inf})
+        block = np.eye(3)[:, [1]]
+        for factors in _dynamic_and_static(matrix):
+            assert not _zero_skip_is_exact(block, factors.sweep_storage().l_values)
+            solution = narrow_sweep(factors, block)[:, 0]
+            assert solution[:2].tolist() == [0.0, 1.0 / 3.0]
+            assert np.isnan(solution[2])
+            with np.errstate(invalid="ignore"):  # the wide sweep's inf · 0
+                _assert_sweeps_agree(factors, block)
+            _assert_matches_reference(factors, block)
+
+    @pytest.mark.parametrize("nan_bits", [0x7FF8000000000001, 0x7FF0000000000001])
+    def test_nan_entries_in_the_block(self, nan_bits):
+        """Quiet and signalling NaNs leave the skip exact: the pivot division quiets both."""
+        rng = np.random.default_rng(5)
+        block = _sparse_block("two_seed", 120, 2, rng)
+        block[rng.integers(120, size=4), 0] = np.array([nan_bits], np.uint64).view(np.float64)[0]
+        for factors in _dynamic_and_static(random_dd_matrix(120, 360, rng)):
+            assert _zero_skip_is_exact(block, factors.sweep_storage().l_values)
+            with np.errstate(invalid="ignore"):  # NumPy quieting the signalling NaN
+                _assert_sweeps_agree(factors, block)
+            _assert_matches_reference(factors, block)
 
     def test_width_rule_on_a_serve_sized_system(self):
         rng = np.random.default_rng(3)
