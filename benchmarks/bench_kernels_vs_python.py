@@ -15,7 +15,12 @@ an in-file baseline and measures the vectorized CSR kernels against it:
   skips the columns of ``L`` whose ``x[j]`` is zero.  The two sweeps must
   agree bitwise on every block, and that system's Crout factors must be
   bitwise the same whether ``s̃p`` comes from the Markowitz elimination
-  (``pattern=``) or a separate symbolic pass.
+  (``pattern=``) or a separate symbolic pass,
+* Figure 8(b) in small: the Bennett time of one α = 0.95 cluster of the
+  ``ludem_wiki`` wiki sequence (300 pages, seed 3), replayed through CLUDE's
+  sealed USSP structure and through CINC's growable factors in the first
+  member's own Markowitz order; five interleaved repeats with the collector
+  off, gated on the sealed median staying below the growable one.
 
 Runs standalone in a few seconds::
 
@@ -24,11 +29,19 @@ Runs standalone in a few seconds::
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 from typing import Dict, List
 
 import numpy as np
 
+from repro.core.cinc import decompose_cluster_cinc
+from repro.core.clude import decompose_cluster_clude
+from repro.core.clustering import alpha_clustering
+from repro.core.result import Stopwatch
+from repro.datasets.wiki import WikiConfig, generate_wiki_egs
+from repro.graphs.ems import EvolvingMatrixSequence
 from repro.graphs.matrixkind import MatrixKind, measure_matrix
 from repro.graphs.snapshot import GraphSnapshot
 from repro.lu.crout import crout_decompose
@@ -51,6 +64,14 @@ SWEEP_WIDTHS = (1, 4, 16, 64)
 SWEEP_REPS = 5
 #: Sparse right-hand sides ``(1 - d)·q``: (label, k, seeds per column).
 SPARSE_SWEEPS = (("one-hot", 1, 1), ("two-seed", 4, 2))
+
+#: The ``ludem_wiki`` workload's wiki sequence at seed 3, and its α.
+FIG08B_WIKI = WikiConfig(
+    pages=300, snapshots=40, initial_links=1500, final_links=1875, churn_per_day=2,
+    tracked_page=17, event_gain_day=12, event_dilute_day=30, seed=3,
+)
+FIG08B_ALPHA = 0.95
+FIG08B_REPEATS = 5
 
 
 class DictOfDictsMatvec:
@@ -199,8 +220,41 @@ def measure_sweeps() -> List[Dict[str, object]]:
     return rows
 
 
+def measure_fig08b() -> Dict[str, float]:
+    """Median Bennett time of the first α-cluster through CINC and CLUDE.
+
+    Both run the cluster's own work-unit routine and the ``bennett``
+    bucket of its stopwatch is read, as the full Figure 8(b) bench reads
+    each algorithm's Bennett time.  The runs alternate which goes first.
+    """
+    matrices = list(EvolvingMatrixSequence.from_graphs(generate_wiki_egs(FIG08B_WIKI)))
+    cluster = alpha_clustering(matrices, FIG08B_ALPHA)[0]
+    members = matrices[cluster.start:cluster.stop]
+    routines = {"growable": decompose_cluster_cinc, "sealed": decompose_cluster_clude}
+    samples: Dict[str, List[float]] = {name: [] for name in routines}
+    for repeat in range(FIG08B_REPEATS):
+        for name in ("growable", "sealed") if repeat % 2 == 0 else ("sealed", "growable"):
+            stopwatch = Stopwatch()
+            gc.collect()
+            gc.disable()
+            try:
+                routines[name](members, cluster.start, 0, stopwatch)
+            finally:
+                gc.enable()
+            samples[name].append(stopwatch.total("bennett"))
+    growable = statistics.median(samples["growable"])
+    sealed = statistics.median(samples["sealed"])
+    return {
+        "members": float(len(members)),
+        "growable_ms": growable * 1e3,
+        "sealed_ms": sealed * 1e3,
+        "ratio": growable / sealed,
+    }
+
+
 def _report(
-    matvec: Dict[str, float], solve: Dict[str, float], sweeps: List[Dict[str, object]]
+    matvec: Dict[str, float], solve: Dict[str, float], sweeps: List[Dict[str, object]],
+    fig08b: Dict[str, float],
 ) -> None:
     print("\n== CSR kernels vs. seed dict-of-dicts loops ==")
     print(
@@ -220,6 +274,11 @@ def _report(
             f"narrow {row['narrow_ms']:.3f} ms, "
             f"wide {row['wide_ms']:.3f} ms (selects {picked}; bitwise equal)"
         )
+    print(
+        f"fig08b     {int(fig08b['members'])} members, median of {FIG08B_REPEATS}: "
+        f"growable (CINC) {fig08b['growable_ms']:.1f} ms, "
+        f"sealed (CLUDE) {fig08b['sealed_ms']:.1f} ms ({fig08b['ratio']:.2f}x)"
+    )
 
 
 def test_kernels_vs_python(benchmark):
@@ -228,17 +287,24 @@ def test_kernels_vs_python(benchmark):
 
     matvec = single_run(benchmark, measure_matvec_speedup)
     solve = measure_solve_many_speedup()
-    _report(matvec, solve, measure_sweeps())
+    fig08b = measure_fig08b()
+    _report(matvec, solve, measure_sweeps(), fig08b)
     assert matvec["speedup"] >= 5.0
     assert solve["speedup"] > 1.0
+    assert fig08b["sealed_ms"] < fig08b["growable_ms"]
 
 
 def main() -> int:
     matvec = measure_matvec_speedup()
     solve = measure_solve_many_speedup()
-    _report(matvec, solve, measure_sweeps())
-    ok = matvec["speedup"] >= 5.0 and solve["speedup"] > 1.0
-    print("PASS" if ok else "FAIL: speedup floors not met")
+    fig08b = measure_fig08b()
+    _report(matvec, solve, measure_sweeps(), fig08b)
+    ok = (
+        matvec["speedup"] >= 5.0
+        and solve["speedup"] > 1.0
+        and fig08b["sealed_ms"] < fig08b["growable_ms"]
+    )
+    print("PASS" if ok else "FAIL: speedup floors or the Fig. 8(b) gate not met")
     return 0 if ok else 1
 
 

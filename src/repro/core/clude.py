@@ -61,24 +61,14 @@ def decompose_cluster_clude(
     start: int,
     cluster_id: int,
     stopwatch: Stopwatch,
-    share_factors: bool = False,
 ) -> List[MatrixDecomposition]:
     """Run CLUDE on one cluster (paper Algorithm 3), returning its decompositions.
 
     ``members`` are the cluster's matrices in sequence order and ``start`` is
     the EMS index of the first one.  This is the body of one CLUDE work
-    unit; serial and parallel executors run exactly this code.
-
-    Parameters
-    ----------
-    share_factors:
-        When ``True``, every member's decomposition references the *same*
-        static structure (whose values at return time are those of the last
-        member).  This mirrors a streaming deployment where factors are used
-        as soon as they are produced and then overwritten; it keeps memory
-        flat across very long clusters.  The default (``False``) snapshots
-        the values for every member so all solves remain available, which is
-        what the examples and tests expect.
+    unit; serial and parallel executors run exactly this code.  Every
+    member's decomposition gets its own value copy of the static structure,
+    so no factors handed out change afterwards.
     """
     with stopwatch.time("ordering"):
         union_matrix = cluster_union_matrix(members)
@@ -91,7 +81,7 @@ def decompose_cluster_clude(
         first_reordered = ordering.apply(members[0])
         crout_decompose_into(first_reordered, static_factors, pattern=ussp)
     decompositions.append(
-        _make_decomposition(start, ordering, static_factors, cluster_id, share_factors)
+        _make_decomposition(start, ordering, static_factors, cluster_id)
     )
 
     for offset in range(1, len(members)):
@@ -100,9 +90,7 @@ def decompose_cluster_clude(
             delta = ordering.map_entries(delta_original)
             bennett_update(static_factors, delta)
         decompositions.append(
-            _make_decomposition(
-                start + offset, ordering, static_factors, cluster_id, share_factors
-            )
+            _make_decomposition(start + offset, ordering, static_factors, cluster_id)
         )
     return decompositions
 
@@ -112,14 +100,12 @@ def _make_decomposition(
     ordering: Ordering,
     static_factors: LUFactors,
     cluster_id: int,
-    share_factors: bool,
 ) -> MatrixDecomposition:
-    """Package the current state of the static factors as a decomposition record."""
-    factors = static_factors if share_factors else static_factors.copy()
+    """Package a value copy of the static factors as a decomposition record."""
     return MatrixDecomposition(
         index=index,
         ordering=ordering,
-        factors=factors,
+        factors=static_factors.copy(),
         fill_size=static_factors.fill_size,
         cluster_id=cluster_id,
         structural_ops=0,
@@ -130,7 +116,6 @@ def decompose_sequence_clude(
     matrices: Sequence[SparseMatrix],
     alpha: float = 0.95,
     clusters: Optional[Sequence[MatrixCluster]] = None,
-    share_factors: bool = False,
     executor: Union[Executor, int, None] = None,
 ) -> SequenceResult:
     """Run CLUDE over an EMS.
@@ -143,8 +128,6 @@ def decompose_sequence_clude(
         Similarity threshold for α-clustering (ignored when ``clusters`` is given).
     clusters:
         Optional precomputed clustering (the LUDEM-QC driver passes β-clusters).
-    share_factors:
-        See :func:`decompose_cluster_clude`.
     executor:
         How to schedule the per-cluster work units: ``None`` (default) runs
         serially, an ``int`` is a process-pool worker count, or pass an
@@ -161,9 +144,7 @@ def decompose_sequence_clude(
         with stopwatch.time("clustering"):
             clusters = alpha_clustering(matrices, alpha)
 
-    plan = plan_clustered(
-        "CLUDE", matrices, clusters, options={"share_factors": share_factors}
-    )
+    plan = plan_clustered("CLUDE", matrices, clusters)
     outcome = resolve_executor(executor).execute(plan)
     timings = reduce_timings([stopwatch.totals(), outcome.timings])
     return SequenceResult(

@@ -55,8 +55,8 @@ class WorkUnit:
         Cluster id recorded on every resulting decomposition (`-1` for INC's
         single chain, the snapshot index for BF).
     options:
-        Extra keyword options for the per-unit routine (e.g. CLUDE's
-        ``share_factors``), stored as a sorted tuple of pairs so the unit
+        Extra keyword options for the per-unit routine (e.g. a REFRESH
+        unit's ``factors``, ``ordering`` and ``delta``), stored as a sorted tuple of pairs so the unit
         stays hashable and picklable.
     """
 
@@ -125,11 +125,6 @@ class ExecutionPlan:
             )
 
     def __len__(self) -> int:
-        return len(self.units)
-
-    @property
-    def max_parallelism(self) -> int:
-        """Number of units that could run concurrently (the unit count)."""
         return len(self.units)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.errors import DimensionError
-from repro.sparse.csr import SparseMatrix
 from repro.sparse.pattern import SparsityPattern
 
 
@@ -100,11 +99,6 @@ def reorder_pattern(pattern: SparsityPattern, row_order: Sequence[int], column_o
     new_row_of = {original: new for new, original in enumerate(row_order)}
     new_col_of = {original: new for new, original in enumerate(column_order)}
     return SparsityPattern(n, ((new_row_of[i], new_col_of[j]) for i, j in pattern))
-
-
-def symbolic_pattern_of_matrix(matrix: SparseMatrix) -> SparsityPattern:
-    """Convenience wrapper: ``s̃p(A)`` computed directly from a matrix."""
-    return symbolic_decomposition(matrix.pattern())
 
 
 def fill_path_exists(pattern: SparsityPattern, u: int, v: int) -> bool:

@@ -12,7 +12,7 @@ and the normalized *matrix edit similarity* ``mes`` of Definition 6.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, Set
 
 from repro.errors import DimensionError
 from repro.sparse.types import Index
@@ -166,8 +166,3 @@ def matrix_edit_similarity(a: SparsityPattern, b: SparsityPattern) -> float:
     if total == 0:
         return 1.0
     return 2.0 * len(a.indices & b.indices) / total
-
-
-def pattern_from_entries(n: int, entries: Iterable[Tuple[int, int]]) -> SparsityPattern:
-    """Build a :class:`SparsityPattern` from an iterable of index pairs."""
-    return SparsityPattern(n, entries)

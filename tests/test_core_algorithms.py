@@ -110,20 +110,6 @@ class TestAlgorithmSpecificBehaviour:
         result = decompose_sequence_clude(matrices, clusters=clusters)
         assert result.cluster_count == len(clusters)
 
-    def test_clude_share_factors_mode(self, tiny_ems):
-        """With share_factors=True the last member of each cluster is still valid."""
-        matrices = list(tiny_ems)
-        result = decompose_sequence_clude(matrices, alpha=0.9, share_factors=True)
-        # Group decompositions by cluster and check the final member of each.
-        last_in_cluster = {}
-        for decomposition in result.decompositions:
-            last_in_cluster[decomposition.cluster_id] = decomposition
-        for decomposition in last_in_cluster.values():
-            matrix = matrices[decomposition.index]
-            assert factors_are_valid(
-                decomposition.factors, matrix, decomposition.ordering, tolerance=1e-6
-            )
-
     def test_universal_pattern_covers_members(self, tiny_ems):
         """Theorem 1 applied through the CLUDE helper."""
         matrices = list(tiny_ems)
