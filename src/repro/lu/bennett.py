@@ -320,8 +320,8 @@ def _sealed_sweep(
         # ----- column k of L, and propagation of u ---------------------- #
         rows = l_rows[k]
         values = l_values[k]
+        nnz_u_before = nnz_u
         inside = 0
-        outside_u = nnz_u
         if uk == 0.0:
             # u stays put; L changes where u is non-zero.
             if nnz_u:
@@ -331,10 +331,7 @@ def _sealed_sweep(
                         inside += 1
                         values[slot] = values[slot] + vk * ui
         elif vk == 0.0:
-            # L stays put; u moves where it or L is non-zero.  A zero v[k]
-            # puts nothing outside the column, and entries of u there are
-            # neither checked nor rescaled.
-            outside_u = 0
+            # L stays put; u moves where it or L is non-zero.
             for slot, i in enumerate(rows):
                 ui_old = u_work[i]
                 if ui_old == 0.0:
@@ -375,7 +372,9 @@ def _sealed_sweep(
                     else:
                         u_work[i] = ui_new
         # Entries of u outside the column did not move in the loop above.
-        outside_u -= inside
+        # A zero v[k] puts nothing there, so they are neither checked nor
+        # rescaled.
+        outside_u = nnz_u_before - inside if vk != 0.0 else 0
         if outside_u:
             stored = set(rows)
             rescale = uk != 0.0 and d_new != d_old
