@@ -15,13 +15,10 @@ published ones.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 import platform
-import threading
-import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.runner import AlgorithmReport, WorkloadRunner
 from repro.bench.workloads import Workload
@@ -176,137 +173,6 @@ def beta_sweep(algorithm: str, betas: Sequence[float] = tuple(BETAS)) -> List[Al
 def series_from_reports(reports: Sequence[AlgorithmReport], field: str) -> List[float]:
     """Extract one numeric column from a list of reports."""
     return [float(getattr(report, field)) for report in reports]
-
-
-def percentile_of(samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of a sample list (``0.0`` when empty).
-
-    ``fraction`` in ``[0, 1]``; nearest-rank (no interpolation) keeps every
-    reported value an actually-observed one, matching
-    :meth:`repro.query.planner.BatchResult.loss_estimate_percentile`.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"percentile fraction must lie in [0, 1], got {fraction}")
-    if not samples:
-        return 0.0
-    import math
-
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return float(ordered[rank - 1])
-
-
-def _read_rss_bytes() -> Optional[int]:
-    """Current resident set size in bytes, or ``None`` when unreadable.
-
-    Reads ``/proc/self/statm`` (Linux; resident pages × page size) so the
-    sampler needs no third-party dependency.  Falls back to
-    ``resource.getrusage`` peak RSS (coarser: high-water mark, not current)
-    and finally to ``None`` on exotic platforms — memory tracking is an
-    observation, never a benchmark failure.
-    """
-    try:
-        with open("/proc/self/statm") as statm:
-            resident_pages = int(statm.read().split()[1])
-        import resource
-
-        return resident_pages * resource.getpagesize()
-    except (OSError, ValueError, IndexError, ImportError):
-        pass
-    try:
-        import resource
-
-        usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return int(usage) * 1024  # Linux reports KiB
-    except (ImportError, OSError, ValueError):
-        return None
-
-
-class MemoryMonitor:
-    """Background-thread RSS sampler: peak plus a coarse timeline.
-
-    Scale claims should include memory, not just wall-clock; wrapping a
-    benchmark phase in a monitor (or the :func:`track_memory` context
-    manager) records the process RSS every ``interval`` seconds on a daemon
-    thread and reduces it to a peak and a ``(elapsed seconds, bytes)``
-    timeline for the report.  Sampling is passive — it never affects the
-    measured workload beyond one sleeping thread.
-    """
-
-    def __init__(self, interval: float = 0.05) -> None:
-        if interval <= 0.0:
-            raise ValueError(f"sampling interval must be positive, got {interval}")
-        self._interval = float(interval)
-        self._samples: List[Tuple[float, int]] = []
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._started_at = 0.0
-
-    def _sample_once(self) -> None:
-        rss = _read_rss_bytes()
-        if rss is not None:
-            self._samples.append((time.perf_counter() - self._started_at, rss))
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            self._sample_once()
-
-    def start(self) -> "MemoryMonitor":
-        """Begin sampling (records one sample immediately)."""
-        if self._thread is not None:
-            raise RuntimeError("MemoryMonitor already started")
-        self._started_at = time.perf_counter()
-        self._stop.clear()
-        self._sample_once()
-        self._thread = threading.Thread(
-            target=self._run, name="bench-memory-monitor", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop sampling (records one final sample)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self._sample_once()
-
-    @property
-    def samples(self) -> List[Tuple[float, int]]:
-        """The recorded ``(elapsed seconds, RSS bytes)`` timeline."""
-        return list(self._samples)
-
-    @property
-    def peak_rss(self) -> int:
-        """Largest sampled RSS in bytes (``0`` when sampling was unavailable)."""
-        return max((rss for _, rss in self._samples), default=0)
-
-    @property
-    def peak_rss_mib(self) -> float:
-        """Peak RSS in MiB."""
-        return self.peak_rss / (1024.0 * 1024.0)
-
-    def timeline_summary(self, buckets: int = 8) -> str:
-        """A compact ``start → … → end`` MiB rendering of the timeline."""
-        if not self._samples:
-            return "(no samples)"
-        step = max(1, len(self._samples) // buckets)
-        picked = self._samples[::step]
-        if picked[-1] != self._samples[-1]:
-            picked.append(self._samples[-1])
-        return " → ".join(f"{rss / 2**20:.1f}" for _, rss in picked) + " MiB"
-
-
-@contextlib.contextmanager
-def track_memory(interval: float = 0.05) -> Iterator[MemoryMonitor]:
-    """Sample RSS on a background thread for the duration of a ``with`` block."""
-    monitor = MemoryMonitor(interval=interval).start()
-    try:
-        yield monitor
-    finally:
-        monitor.stop()
 
 
 def single_run(benchmark, func, *args, **kwargs):

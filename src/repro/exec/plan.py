@@ -55,9 +55,9 @@ class WorkUnit:
         Cluster id recorded on every resulting decomposition (`-1` for INC's
         single chain, the snapshot index for BF).
     options:
-        Extra keyword options for the per-unit routine (e.g. a REFRESH
-        unit's ``factors``, ``ordering`` and ``delta``), stored as a sorted tuple of pairs so the unit
-        stays hashable and picklable.
+        Keyword options of a FACTOR unit (its ``label``) or a REFRESH unit
+        (its ``factors``, ``ordering`` and ``delta``), stored as a sorted
+        tuple of pairs so the unit stays hashable and picklable.
     """
 
     unit_id: int
@@ -251,7 +251,6 @@ def plan_clustered(
     algorithm: str,
     matrices: Sequence[SparseMatrix],
     clusters: Sequence[MatrixCluster],
-    options: Optional[Dict[str, object]] = None,
 ) -> ExecutionPlan:
     """Plan CINC/CLUDE: one unit per cluster, members sliced out of the sequence."""
     if algorithm not in ("CINC", "CLUDE"):
@@ -259,7 +258,6 @@ def plan_clustered(
     matrices = list(matrices)
     if not matrices:
         raise EmptySequenceError("cannot plan an empty matrix sequence")
-    frozen = _freeze_options(options)
     units: List[WorkUnit] = []
     for cluster_id, cluster in enumerate(clusters):
         units.append(
@@ -269,7 +267,6 @@ def plan_clustered(
                 start=cluster.start,
                 members=tuple(matrices[index] for index in cluster.indices),
                 cluster_id=cluster_id,
-                options=frozen,
             )
         )
     return ExecutionPlan(

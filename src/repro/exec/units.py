@@ -61,13 +61,13 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
         from repro.core.cinc import decompose_cluster_cinc
 
         decompositions = decompose_cluster_cinc(
-            unit.members, unit.start, unit.cluster_id, stopwatch, **unit.option_dict
+            unit.members, unit.start, unit.cluster_id, stopwatch
         )
     elif unit.algorithm == "CLUDE":
         from repro.core.clude import decompose_cluster_clude
 
         decompositions = decompose_cluster_clude(
-            unit.members, unit.start, unit.cluster_id, stopwatch, **unit.option_dict
+            unit.members, unit.start, unit.cluster_id, stopwatch
         )
     elif unit.algorithm == "FACTOR":
         decompositions = [_execute_factor(unit, stopwatch)]

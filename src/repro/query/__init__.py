@@ -53,7 +53,6 @@ from repro.query.spec import (
     evaluate_block,
     get_spec,
     make_query,
-    register_spec,
     registered_measures,
     system_key,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "system_key",
     "evaluate",
     "evaluate_block",
-    "register_spec",
     "get_spec",
     "registered_measures",
     "QueryBatch",

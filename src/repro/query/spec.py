@@ -159,34 +159,16 @@ class MeasureSpec:
 
 
 # ---------------------------------------------------------------------- #
-# Registry
+# Registry (the ``_REGISTRY`` table closes this module)
 # ---------------------------------------------------------------------- #
-_REGISTRY: Dict[str, MeasureSpec] = {}
-
-
-def register_spec(spec: MeasureSpec, replace: bool = False) -> MeasureSpec:
-    """Register a measure spec under its name (refusing silent redefinition)."""
-    if not replace and spec.name in _REGISTRY:
-        raise MeasureError(f"measure spec {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
 def get_spec(name: str) -> MeasureSpec:
-    """Look up a registered spec, with a helpful error for unknown names."""
+    """Look up a built-in spec, with a helpful error for unknown names."""
     try:
         return _REGISTRY[name]
     except KeyError:
         raise MeasureError(
             f"unknown measure {name!r}; registered: {', '.join(registered_measures())}"
         ) from None
-
-
-def unregister_spec(name: str) -> None:
-    """Remove a registered spec (used by tests and plugin-style extensions)."""
-    if name not in _REGISTRY:
-        raise MeasureError(f"measure spec {name!r} is not registered")
-    del _REGISTRY[name]
 
 
 def registered_measures() -> Tuple[str, ...]:
@@ -263,8 +245,8 @@ def _validate_measure_damping(measure: str, damping: float) -> None:
     with: the walk kinds need ``0 < d < 1``, while ``LAPLACIAN`` measures
     accept the undamped ``d = 0.0`` convention (see
     :func:`~repro.graphs.matrixkind.validate_damping`, the shared gate).
-    Unregistered measure names — a :class:`Query` can be constructed before
-    its spec is registered — fall back to the strict walk-kind domain,
+    Unknown measure names — a :class:`Query` can be constructed directly
+    with any name — fall back to the strict walk-kind domain,
     which every built-in measure uses.
     """
     spec = _REGISTRY.get(measure)
@@ -706,71 +688,69 @@ def _salsa_shortcut(
     return None
 
 
-register_spec(MeasureSpec(
-    name="rwr",
-    kind=MatrixKind.RANDOM_WALK,
-    build_rhs=_rwr_rhs,
-    build_rhs_block=_rwr_rhs_block,
-    required_params=("start_node",),
-    description="Random Walk with Restart from one start node",
-))
-
-register_spec(MeasureSpec(
-    name="ppr",
-    kind=MatrixKind.RANDOM_WALK,
-    build_rhs=_ppr_rhs,
-    build_rhs_block=_ppr_rhs_block,
-    required_params=("seeds",),
-    description="Personalized PageRank for one seed set",
-))
-
-register_spec(MeasureSpec(
-    name="pagerank",
-    kind=MatrixKind.RANDOM_WALK,
-    build_rhs=_uniform_teleport_rhs,
-    build_rhs_block=_uniform_teleport_rhs_block,
-    description="PageRank with uniform teleportation",
-))
-
-register_spec(MeasureSpec(
-    name="hitting_time",
-    kind=MatrixKind.RANDOM_WALK,
-    build_rhs=_hitting_rhs,
-    build_rhs_block=_hitting_rhs_block,
-    required_params=("target",),
-    matrix_params=("target",),
-    build_matrix=_hitting_matrix,
-    description="Discounted hitting time towards one target node",
-))
-
-register_spec(MeasureSpec(
-    name="hitting_time_shared",
-    kind=MatrixKind.RANDOM_WALK,
-    build_rhs=_hitting_rhs,
-    build_rhs_block=_hitting_rhs_block,
-    required_params=("target",),
-    build_matrix=_hitting_shared_matrix,
-    transform=_hitting_shared_transform,
-    description=(
-        "Discounted hitting time via the shared unmasked system "
-        "(one factorization serves every target)"
+#: The built-in measures by name.  Every layer above (planner, server,
+#: shards, store) resolves a query's spec through this table.
+_REGISTRY: Dict[str, MeasureSpec] = {
+    "rwr": MeasureSpec(
+        name="rwr",
+        kind=MatrixKind.RANDOM_WALK,
+        build_rhs=_rwr_rhs,
+        build_rhs_block=_rwr_rhs_block,
+        required_params=("start_node",),
+        description="Random Walk with Restart from one start node",
     ),
-))
-
-register_spec(MeasureSpec(
-    name="salsa_authority",
-    kind=MatrixKind.SALSA_AUTHORITY,
-    build_rhs=_uniform_teleport_rhs,
-    build_rhs_block=_uniform_teleport_rhs_block,
-    shortcut=_salsa_shortcut,
-    description="Damped SALSA authority scores",
-))
-
-register_spec(MeasureSpec(
-    name="salsa_hub",
-    kind=MatrixKind.SALSA_HUB,
-    build_rhs=_uniform_teleport_rhs,
-    build_rhs_block=_uniform_teleport_rhs_block,
-    shortcut=_salsa_shortcut,
-    description="Damped SALSA hub scores",
-))
+    "ppr": MeasureSpec(
+        name="ppr",
+        kind=MatrixKind.RANDOM_WALK,
+        build_rhs=_ppr_rhs,
+        build_rhs_block=_ppr_rhs_block,
+        required_params=("seeds",),
+        description="Personalized PageRank for one seed set",
+    ),
+    "pagerank": MeasureSpec(
+        name="pagerank",
+        kind=MatrixKind.RANDOM_WALK,
+        build_rhs=_uniform_teleport_rhs,
+        build_rhs_block=_uniform_teleport_rhs_block,
+        description="PageRank with uniform teleportation",
+    ),
+    "hitting_time": MeasureSpec(
+        name="hitting_time",
+        kind=MatrixKind.RANDOM_WALK,
+        build_rhs=_hitting_rhs,
+        build_rhs_block=_hitting_rhs_block,
+        required_params=("target",),
+        matrix_params=("target",),
+        build_matrix=_hitting_matrix,
+        description="Discounted hitting time towards one target node",
+    ),
+    "hitting_time_shared": MeasureSpec(
+        name="hitting_time_shared",
+        kind=MatrixKind.RANDOM_WALK,
+        build_rhs=_hitting_rhs,
+        build_rhs_block=_hitting_rhs_block,
+        required_params=("target",),
+        build_matrix=_hitting_shared_matrix,
+        transform=_hitting_shared_transform,
+        description=(
+            "Discounted hitting time via the shared unmasked system "
+            "(one factorization serves every target)"
+        ),
+    ),
+    "salsa_authority": MeasureSpec(
+        name="salsa_authority",
+        kind=MatrixKind.SALSA_AUTHORITY,
+        build_rhs=_uniform_teleport_rhs,
+        build_rhs_block=_uniform_teleport_rhs_block,
+        shortcut=_salsa_shortcut,
+        description="Damped SALSA authority scores",
+    ),
+    "salsa_hub": MeasureSpec(
+        name="salsa_hub",
+        kind=MatrixKind.SALSA_HUB,
+        build_rhs=_uniform_teleport_rhs,
+        build_rhs_block=_uniform_teleport_rhs_block,
+        shortcut=_salsa_shortcut,
+        description="Damped SALSA hub scores",
+    ),
+}

@@ -54,7 +54,8 @@ from repro.policy import CorrectedPolicy, CorrectionDecision, QCPolicy
 from repro.policy.qc import ranked_update_columns
 from repro.query import QueryBatch, QueryPlanner
 from repro.query.planner import ApproximationRecord
-from repro.query.spec import MeasureSpec, get_spec, make_query, register_spec, unregister_spec
+from repro.query import spec as spec_module
+from repro.query.spec import MeasureSpec, get_spec, make_query
 from repro.serve.stats import StatsCollector
 from repro.sparse.csr import SparseMatrix
 
@@ -361,7 +362,7 @@ class TestCorrectedServing:
         deviation = relative_l1_deviation(outcome[0], exact[0])
         assert deviation <= record.loss_estimate * (1.0 + SLACK) + ABS_SLACK
 
-    def test_laplacian_cross_damping_is_exact(self, rng):
+    def test_laplacian_cross_damping_is_exact(self, rng, monkeypatch):
         """(d) The Laplacian ignores damping: its cross-damping delta is
         empty, the certificate is 0.0 and the shared answer bitwise-exact."""
         spec = MeasureSpec(
@@ -369,31 +370,28 @@ class TestCorrectedServing:
             kind=MatrixKind.LAPLACIAN,
             build_rhs=get_spec("pagerank").build_rhs,
         )
-        register_spec(spec)
-        try:
-            snapshot = random_snapshot(rng, 20, 60)
-            planner = QueryPlanner(policy=CorrectedPolicy(
-                alpha=0.9, loss_bound=0.0, max_rank=1
-            ))
-            planner.run(QueryBatch().add(
-                make_query("laplacian_teleport_test", snapshot, damping=0.3)
-            ))
-            probe = QueryBatch().add(
-                make_query("laplacian_teleport_test", snapshot, damping=0.1)
-            )
-            outcome = planner.run(probe)
-            assert outcome.stats.factorizations == 0
-            assert outcome.stats.corrected_reuses == 1
-            record = outcome.approximations[0]
-            assert record.mode == "cross-damping"
-            assert record.rank == 0
-            assert record.loss_estimate == 0.0
-            exact = QueryPlanner().run(QueryBatch().add(
-                make_query("laplacian_teleport_test", snapshot, damping=0.1)
-            ))
-            assert outcome[0].tobytes() == exact[0].tobytes()
-        finally:
-            unregister_spec("laplacian_teleport_test")
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
+        snapshot = random_snapshot(rng, 20, 60)
+        planner = QueryPlanner(policy=CorrectedPolicy(
+            alpha=0.9, loss_bound=0.0, max_rank=1
+        ))
+        planner.run(QueryBatch().add(
+            make_query("laplacian_teleport_test", snapshot, damping=0.3)
+        ))
+        probe = QueryBatch().add(
+            make_query("laplacian_teleport_test", snapshot, damping=0.1)
+        )
+        outcome = planner.run(probe)
+        assert outcome.stats.factorizations == 0
+        assert outcome.stats.corrected_reuses == 1
+        record = outcome.approximations[0]
+        assert record.mode == "cross-damping"
+        assert record.rank == 0
+        assert record.loss_estimate == 0.0
+        exact = QueryPlanner().run(QueryBatch().add(
+            make_query("laplacian_teleport_test", snapshot, damping=0.1)
+        ))
+        assert outcome[0].tobytes() == exact[0].tobytes()
 
     def test_damping_delta_empty_cases(self, rng):
         snapshot = random_snapshot(rng, 12, 30)
@@ -404,29 +402,24 @@ class TestCorrectedServing:
         assert entries
         assert reuse_loss_bound(entries, 0.85) == pytest.approx(0.01 / 0.15)
 
-    def test_uncertified_kind_never_corrects(self, rng):
-        from repro.query.spec import MeasureSpec
-
+    def test_uncertified_kind_never_corrects(self, rng, monkeypatch):
         spec = MeasureSpec(
             name="symwalk_corrected_test",
             kind=MatrixKind.SYMMETRIC_WALK,
             build_rhs=get_spec("pagerank").build_rhs,
         )
-        register_spec(spec)
-        try:
-            before = random_snapshot(rng, 20, 60)
-            after = evolve(rng, before, additions=1, removals=0)
-            planner = QueryPlanner(policy=CorrectedPolicy(
-                alpha=0.0, loss_bound=1e12, max_rank=8
-            ))
-            planner.run(QueryBatch().add(make_query("symwalk_corrected_test", before)))
-            outcome = planner.run(
-                QueryBatch().add(make_query("symwalk_corrected_test", after))
-            )
-            assert outcome.stats.corrected_reuses == 0
-            assert outcome.stats.factorizations == 1
-        finally:
-            unregister_spec("symwalk_corrected_test")
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
+        before = random_snapshot(rng, 20, 60)
+        after = evolve(rng, before, additions=1, removals=0)
+        planner = QueryPlanner(policy=CorrectedPolicy(
+            alpha=0.0, loss_bound=1e12, max_rank=8
+        ))
+        planner.run(QueryBatch().add(make_query("symwalk_corrected_test", before)))
+        outcome = planner.run(
+            QueryBatch().add(make_query("symwalk_corrected_test", after))
+        )
+        assert outcome.stats.corrected_reuses == 0
+        assert outcome.stats.factorizations == 1
 
     def test_correction_does_not_alias_the_factor_cache(self):
         rng = np.random.default_rng(13)

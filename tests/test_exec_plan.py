@@ -47,13 +47,13 @@ class TestPlanBuilders:
     def test_clustered_plan_mirrors_the_clustering(self, tiny_ems):
         matrices = list(tiny_ems)
         clusters = alpha_clustering(matrices, 0.9)
-        plan = plan_clustered("CLUDE", matrices, clusters, options={"share_factors": False})
+        plan = plan_clustered("CLUDE", matrices, clusters)
         assert len(plan) == len(clusters)
         for cluster_id, (cluster, unit) in enumerate(zip(clusters, plan.units)):
             assert unit.start == cluster.start
             assert unit.stop == cluster.stop
             assert unit.cluster_id == cluster_id
-            assert unit.option_dict == {"share_factors": False}
+            assert unit.options == ()
             assert list(unit.members) == [matrices[i] for i in cluster.indices]
 
     def test_clustered_plan_rejects_unknown_algorithm(self, tiny_ems):

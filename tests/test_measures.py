@@ -233,20 +233,19 @@ class TestDampingDomains:
     """
 
     @pytest.fixture()
-    def laplacian_spec(self):
+    def laplacian_spec(self, monkeypatch):
         from repro.graphs.matrixkind import MatrixKind
-        from repro.query.spec import MeasureSpec, register_spec, unregister_spec
+        from repro.query import spec as spec_module
+        from repro.query.spec import MeasureSpec
 
-        spec = register_spec(
-            MeasureSpec(
-                name="lap_boundary_test",
-                kind=MatrixKind.LAPLACIAN,
-                build_rhs=lambda snapshot, damping, params: np.ones(snapshot.n),
-                description="Laplacian smoke measure for the damping boundary",
-            )
+        spec = MeasureSpec(
+            name="lap_boundary_test",
+            kind=MatrixKind.LAPLACIAN,
+            build_rhs=lambda snapshot, damping, params: np.ones(snapshot.n),
+            description="Laplacian smoke measure for the damping boundary",
         )
-        yield spec
-        unregister_spec("lap_boundary_test")
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
+        return spec
 
     def test_laplacian_query_accepts_zero_damping(self, tiny_graph, laplacian_spec):
         from repro.query import QueryPlanner, make_query

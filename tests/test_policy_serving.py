@@ -184,31 +184,25 @@ class TestPolicyObjects:
                      MatrixKind.SALSA_HUB, MatrixKind.LAPLACIAN):
             assert policy.certifies_kind(kind)
 
-    def test_symmetric_walk_spec_falls_through_to_cold(self, rng):
-        from repro.query.spec import (
-            MeasureSpec, get_spec, register_spec, unregister_spec,
-        )
+    def test_symmetric_walk_spec_falls_through_to_cold(self, rng, monkeypatch):
+        from repro.query import spec as spec_module
+        from repro.query.spec import MeasureSpec, get_spec, make_query
 
         spec = MeasureSpec(
             name="symwalk_teleport_test",
             kind=MatrixKind.SYMMETRIC_WALK,
             build_rhs=get_spec("pagerank").build_rhs,
         )
-        register_spec(spec)
-        try:
-            before = random_snapshot(rng, 20, 60)
-            after = evolve(rng, before, additions=1, removals=0)
-            planner = QueryPlanner(policy=QCPolicy(alpha=0.0, loss_bound=1e12))
-            from repro.query.spec import make_query
-
-            planner.run(QueryBatch().add(make_query("symwalk_teleport_test", before)))
-            outcome = planner.run(
-                QueryBatch().add(make_query("symwalk_teleport_test", after))
-            )
-            assert outcome.stats.qc_reuses == 0
-            assert outcome.stats.factorizations == 1
-        finally:
-            unregister_spec("symwalk_teleport_test")
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
+        before = random_snapshot(rng, 20, 60)
+        after = evolve(rng, before, additions=1, removals=0)
+        planner = QueryPlanner(policy=QCPolicy(alpha=0.0, loss_bound=1e12))
+        planner.run(QueryBatch().add(make_query("symwalk_teleport_test", before)))
+        outcome = planner.run(
+            QueryBatch().add(make_query("symwalk_teleport_test", after))
+        )
+        assert outcome.stats.qc_reuses == 0
+        assert outcome.stats.factorizations == 1
 
     def test_prefilter_is_a_sound_upper_bound(self, rng):
         """prefilter rejects only pairs evaluate_reuse would reject anyway."""

@@ -41,11 +41,10 @@ from repro.query import (
     evaluate_block,
     get_spec,
     make_query,
-    register_spec,
     registered_measures,
     system_key,
 )
-from repro.query.spec import unregister_spec
+from repro.query import spec as spec_module
 
 
 @pytest.fixture
@@ -69,27 +68,18 @@ class TestSpecRegistry:
         with pytest.raises(MeasureError):
             make_query("betweenness", GraphSnapshot(2, [(0, 1)]))
 
-    def test_duplicate_registration_refused(self):
-        with pytest.raises(MeasureError):
-            register_spec(get_spec("rwr"))
-
-    def test_register_unregister_custom_spec(self, tiny_graph):
+    def test_register_unregister_custom_spec(self, tiny_graph, monkeypatch):
         spec = MeasureSpec(
             name="normalized_rwr_test",
             kind=MatrixKind.RANDOM_WALK,
             build_rhs=get_spec("rwr").build_rhs,
             normalize=True,
         )
-        register_spec(spec)
-        try:
-            scores = evaluate(make_query("normalized_rwr_test", tiny_graph, start_node=0))
-            assert np.isclose(float(np.sum(scores)), 1.0)
-            raw = rwr_scores(tiny_graph, 0)
-            assert np.array_equal(scores, raw / np.sum(raw))
-        finally:
-            unregister_spec("normalized_rwr_test")
-        with pytest.raises(MeasureError):
-            unregister_spec("normalized_rwr_test")
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
+        scores = evaluate(make_query("normalized_rwr_test", tiny_graph, start_node=0))
+        assert np.isclose(float(np.sum(scores)), 1.0)
+        raw = rwr_scores(tiny_graph, 0)
+        assert np.array_equal(scores, raw / np.sum(raw))
 
     def test_missing_matrix_param_raises(self, tiny_graph):
         with pytest.raises(MeasureError):
@@ -275,7 +265,7 @@ class TestGroupingAndCache:
             assert answer.tobytes() == expected.tobytes()
         assert planner.cache_info()["size"] == 1
 
-    def test_custom_matrix_builder_never_shares_kind_group(self, tiny_graph):
+    def test_custom_matrix_builder_never_shares_kind_group(self, tiny_graph, monkeypatch):
         # A spec that overrides build_matrix must not share factors with a
         # kind-equal spec, even with no matrix params.
         from repro.graphs.matrixkind import measure_matrix
@@ -288,17 +278,14 @@ class TestGroupingAndCache:
                 snapshot, MatrixKind.RANDOM_WALK, damping
             ).scale(2.0),
         )
-        register_spec(spec)
-        try:
-            batch = QueryBatch().add_pagerank(tiny_graph).add(
-                make_query("doubled_system_test", tiny_graph)
-            )
-            outcome = QueryPlanner().run(batch)
-            assert outcome.stats.groups == 2
-            assert np.allclose(outcome[1], outcome[0] / 2.0)
-            assert outcome[1].tobytes() == evaluate(batch[1]).tobytes()
-        finally:
-            unregister_spec("doubled_system_test")
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
+        batch = QueryBatch().add_pagerank(tiny_graph).add(
+            make_query("doubled_system_test", tiny_graph)
+        )
+        outcome = QueryPlanner().run(batch)
+        assert outcome.stats.groups == 2
+        assert np.allclose(outcome[1], outcome[0] / 2.0)
+        assert outcome[1].tobytes() == evaluate(batch[1]).tobytes()
 
     def test_repeated_execute_of_shortcut_plan_returns_fresh_arrays(self):
         empty = GraphSnapshot(3, [])
@@ -556,7 +543,7 @@ class TestFactorizationFailures:
     """
 
     @pytest.fixture()
-    def singular_spec(self):
+    def singular_spec(self, monkeypatch):
         from repro.sparse.csr import SparseMatrix
 
         spec = MeasureSpec(
@@ -567,9 +554,8 @@ class TestFactorizationFailures:
                 snapshot.n, {(0, 0): 1.0}
             ),
         )
-        register_spec(spec)
-        yield spec
-        unregister_spec(spec.name)
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
+        return spec
 
     @pytest.mark.parametrize("executor", [None, 2])
     def test_error_names_the_failing_unit(self, tiny_graph, singular_spec, executor):

@@ -32,7 +32,8 @@ from repro.query import (
     get_spec,
     make_query,
 )
-from repro.query.spec import MeasureSpec, register_spec, unregister_spec
+from repro.query import spec as spec_module
+from repro.query.spec import MeasureSpec
 from repro.serve import (
     LatencySummary,
     MeasureServer,
@@ -321,7 +322,7 @@ class TestStreamingUpdates:
 # ---------------------------------------------------------------------- #
 class TestFailureIsolation:
     @pytest.fixture()
-    def singular_spec(self):
+    def singular_spec(self, monkeypatch):
         spec = MeasureSpec(
             name="singular_system_test",
             kind=MatrixKind.RANDOM_WALK,
@@ -331,9 +332,8 @@ class TestFailureIsolation:
                 snapshot.n, {(0, 0): 1.0}
             ),
         )
-        register_spec(spec)
-        yield spec
-        unregister_spec(spec.name)
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
+        return spec
 
     def test_poisoned_query_fails_alone(self, tiny_graph, singular_spec):
         with MeasureServer(max_batch=8, max_wait_ms=LONG_WAIT_MS) as server:
