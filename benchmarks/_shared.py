@@ -7,10 +7,8 @@ workload and each sweep exactly once per pytest session and caches the
 results.
 
 Scales are chosen so the whole suite finishes in a few minutes of pure
-Python.  They are far below the paper's dataset sizes (see DESIGN.md for the
-substitution rationale); the quantities reported are the same ones the paper
-plots, and EXPERIMENTS.md records how the measured shapes compare with the
-published ones.
+Python.  They are far below the paper's dataset sizes; the quantities
+reported are the same ones the paper plots.
 """
 
 from __future__ import annotations

@@ -31,8 +31,7 @@ import tempfile
 import time
 from typing import List
 
-import numpy as np
-
+from repro.graphs.generators import evolving_chain
 from repro.graphs.matrixkind import MatrixKind, measure_matrix
 from repro.graphs.snapshot import GraphSnapshot
 from repro.query import QueryBatch, QueryPlanner
@@ -42,34 +41,6 @@ from repro.store import FactorStore
 from _shared import host_info_line
 
 DAMPING = 0.85
-
-
-def build_chain(
-    nodes: int, snapshots: int, added_per_step: int, removed_per_step: int, seed: int
-) -> List[GraphSnapshot]:
-    """Return an evolving snapshot chain with small per-step edge deltas."""
-    rng = np.random.default_rng(seed)
-    edges = set()
-    while len(edges) < nodes * 3:
-        u, v = rng.integers(0, nodes, size=2)
-        if u != v:
-            edges.add((int(u), int(v)))
-    current = GraphSnapshot(nodes, edges)
-    chain = [current]
-    for _ in range(snapshots - 1):
-        existing = sorted(current.edges)
-        removed = {
-            existing[int(rng.integers(0, len(existing)))]
-            for _ in range(removed_per_step)
-        }
-        added = set()
-        while len(added) < added_per_step:
-            u, v = rng.integers(0, nodes, size=2)
-            if u != v and (int(u), int(v)) not in current.edges:
-                added.add((int(u), int(v)))
-        current = current.with_edges(added=added, removed=removed)
-        chain.append(current)
-    return chain
 
 
 def serve(chain: List[GraphSnapshot], planner: QueryPlanner) -> List:
@@ -100,7 +71,7 @@ def main() -> None:
     args = parser.parse_args()
     print(host_info_line())
 
-    chain = build_chain(args.nodes, args.snapshots, args.added, args.removed, args.seed)
+    chain = evolving_chain(args.nodes, args.snapshots, args.added, args.removed, args.seed)
     keys = [SystemKey(s, MatrixKind.RANDOM_WALK, DAMPING) for s in chain]
 
     with tempfile.TemporaryDirectory() as checkpoint_dir, \

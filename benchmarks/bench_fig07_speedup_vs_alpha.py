@@ -9,8 +9,7 @@ singletons and the methods degenerate to BF).
 Note on magnitudes: in this pure-Python reproduction the absolute speedups
 are compressed compared with the paper's Java/testbed numbers (the ordering
 and full-decomposition baseline is comparatively cheap at this scale), but
-the ranking of the algorithms and the trends with α are preserved.  See
-EXPERIMENTS.md.
+the ranking of the algorithms and the trends with α are preserved.
 """
 
 from __future__ import annotations

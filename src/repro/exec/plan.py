@@ -205,11 +205,12 @@ def plan_refresh_batch(
     Each job is ``(new_matrix, factors, ordering, delta)``: a cloned factor
     container currently holding the *old* system's LU, the ordering it was
     decomposed under, and the sparse system-matrix delta **already mapped
-    into reordered coordinates**.  The unit body Bennett-updates the clone in
-    place; a numerical failure (pattern violation, pivot breakdown) is
-    reported as ``factors=None`` in the unit's decomposition rather than
-    raised, so one failed refresh falls back to a cold factorization without
-    aborting its siblings.
+    into reordered coordinates**, in the order the sweeps apply it (see
+    :meth:`~repro.query.cache.FactorCache.prepare_refresh`).  The unit body
+    Bennett-updates the clone in place; a numerical failure (pattern
+    violation, pivot breakdown) is reported as ``factors=None`` in the
+    unit's decomposition rather than raised, so one failed refresh falls
+    back to a cold factorization without aborting its siblings.
     """
     jobs = list(jobs)
     if not jobs:
@@ -224,7 +225,7 @@ def plan_refresh_batch(
             options=_freeze_options({
                 "factors": factors,
                 "ordering": ordering,
-                "delta": tuple(sorted(delta.items())),
+                "delta": tuple(delta.items()),
             }),
         )
         for index, (matrix, factors, ordering, delta) in enumerate(jobs)

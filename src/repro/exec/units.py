@@ -114,26 +114,21 @@ def _execute_factor(unit: WorkUnit, stopwatch: Stopwatch) -> MatrixDecomposition
 def _execute_refresh(unit: WorkUnit, stopwatch: Stopwatch) -> MatrixDecomposition:
     """Bennett-update one refresh unit's cloned factors in place.
 
-    Numerical failures (fill outside a static pattern, pivot breakdown) are
-    *expected* outcomes with a defined fallback — cold factorization — so
-    they are reported as ``factors=None`` instead of raised; raising inside a
-    worker would abort every sibling unit of the batch.
+    The body is :func:`repro.query.cache.apply_refresh`, the one refresh
+    step every executor runs.  Numerical failures (fill outside a sealed
+    pattern, pivot breakdown) are *expected* outcomes with a defined
+    fallback — cold factorization — so they are reported as
+    ``factors=None`` instead of raised; raising inside a worker would abort
+    every sibling unit of the batch.
     """
-    from repro.errors import PatternError, SingularMatrixError
-    from repro.lu.bennett import bennett_update
+    from repro.query.cache import apply_refresh
 
     options = unit.option_dict
-    factors = options["factors"]
-    ordering = options["ordering"]
-    delta = dict(options["delta"])
     with stopwatch.time("bennett"):
-        try:
-            bennett_update(factors, delta)
-        except (PatternError, SingularMatrixError):
-            factors = None
+        factors = apply_refresh(options["factors"], dict(options["delta"]))
     return MatrixDecomposition(
         index=unit.start,
-        ordering=ordering,
+        ordering=options["ordering"],
         factors=factors,
         fill_size=factors.fill_size if factors is not None else 0,
         cluster_id=unit.cluster_id,

@@ -10,8 +10,8 @@ parameters (with laptop-scale defaults; the paper's defaults are recorded in
 :data:`PAPER_DEFAULTS`).
 
 Every generator in this module is deterministic given its seed: the
-top-level entry points (:func:`generate_synthetic_egs`, :func:`growing_egs`)
-take an explicit seed, and the building blocks
+top-level entry points (:func:`generate_synthetic_egs`, :func:`growing_egs`,
+:func:`evolving_chain`) take an explicit seed, and the building blocks
 (:func:`barabasi_albert_edges`, :func:`generate_edge_pool`) require either a
 caller-supplied :class:`numpy.random.Generator` or an explicit ``seed`` —
 there is no fallback to global/unseeded randomness anywhere, which the
@@ -274,3 +274,35 @@ def growing_egs(
         add_random_edges(edges_per_step)
         snapshots_list.append(GraphSnapshot(nodes, edges, directed=directed))
     return EvolvingGraphSequence(snapshots_list)
+
+
+def evolving_chain(
+    nodes: int, length: int, added: int, removed: int, seed: int
+) -> List[GraphSnapshot]:
+    """A directed random graph evolving by small edge deltas (a serving chain).
+
+    The first snapshot holds ``3 * nodes`` distinct random edges (3 out-edges
+    per node on average).  Each later snapshot removes ``removed`` random
+    edges of its predecessor (drawn with replacement, so occasionally fewer)
+    and adds ``added`` new ones — the small per-step deltas a delta-refresh
+    serving path is built for.
+    """
+    rng = np.random.default_rng(seed)
+    edges: Set[Edge] = set()
+    while len(edges) < nodes * 3:
+        u, v = (int(x) for x in rng.integers(0, nodes, size=2))
+        if u != v:
+            edges.add((u, v))
+    current = GraphSnapshot(nodes, edges)
+    chain = [current]
+    for _ in range(length - 1):
+        existing = sorted(current.edges)
+        dropped = {existing[int(rng.integers(0, len(existing)))] for _ in range(removed)}
+        fresh: Set[Edge] = set()
+        while len(fresh) < added:
+            u, v = (int(x) for x in rng.integers(0, nodes, size=2))
+            if u != v and (u, v) not in current.edges:
+                fresh.add((u, v))
+        current = current.with_edges(added=fresh, removed=dropped)
+        chain.append(current)
+    return chain

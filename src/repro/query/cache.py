@@ -3,14 +3,20 @@
 Split out of the planner monolith so the resolution ladder
 (:mod:`repro.query.resolution`) and the planner
 (:mod:`repro.query.planner`) both build on the same cache surface without
-a circular import.  Every name here is re-exported from
+a circular import.  Both caches are re-exported from
 ``repro.query.planner`` for backwards compatibility.
 
 * :class:`FactorCache` holds :class:`~repro.query.spec.FactorizedSystem`
   objects keyed by :class:`~repro.query.spec.SystemKey`, with group-level
-  hit/miss accounting, LRU bounding, Bennett delta refresh, listener
-  channels, and an optional :class:`~repro.store.factorstore.FactorStore`
-  disk tier (spill on eviction, restore on miss, checkpoint on demand).
+  hit/miss accounting, LRU bounding, listener channels, and an optional
+  :class:`~repro.store.factorstore.FactorStore` disk tier (spill on
+  eviction, restore on miss, checkpoint on demand).
+* The Bennett delta refresh — the paper's INC step applied to a cached
+  system — has one path: :meth:`FactorCache.prepare_refresh` gates it,
+  clones the parent and fixes the delta's order; :func:`apply_refresh`
+  runs the sweeps inside a REFRESH work unit; and
+  :meth:`FactorCache.commit_refresh` installs the result and records its
+  provenance.
 * :class:`ResultCache` holds *finalized answers* keyed by
   ``(SystemKey, finalize identity, rhs fingerprint)`` so repeated hot
   queries skip the substitution sweep entirely.
@@ -37,30 +43,35 @@ import numpy as np
 
 from repro.errors import MeasureError, PatternError, SingularMatrixError, StoreError
 from repro.lu.bennett import bennett_update
+from repro.lu.factors import LUFactors
 from repro.query.spec import FactorizedSystem, SystemKey
-from repro.sparse.csr import SparseMatrix
 from repro.sparse.types import Entries
 
 if TYPE_CHECKING:  # runtime import is lazy: the store package sits above
     # this one in the layering (it imports query.spec).
     from repro.store.factorstore import FactorStore, RefreshProvenance
 
-#: Default ``refresh_threshold``: a system-matrix delta touching more than
-#: this fraction of the cached matrix's non-zeros falls back to a cold
-#: factorization — beyond it the rank-1 sweeps stop being cheaper than a
-#: fresh Markowitz + Crout pass (and a large delta usually means the old
-#: ordering misfits the new matrix anyway).
+#: Refresh gate: a system-matrix delta touching more than this fraction of
+#: the cached matrix's non-zeros falls back to a cold factorization — beyond
+#: it the rank-1 sweeps stop being cheaper than a fresh Markowitz + Crout
+#: pass (and a large delta usually means the old ordering misfits the new
+#: matrix anyway).  Read at call time by :meth:`FactorCache.prepare_refresh`.
 DEFAULT_REFRESH_THRESHOLD = 0.25
 
 
-def _apply_entry_delta(matrix: SparseMatrix, delta: Entries) -> SparseMatrix:
-    """Return ``matrix + ΔA`` for a sparse entry delta in original coordinates."""
-    if not delta:
-        return matrix
-    change = SparseMatrix.from_triples(
-        matrix.n, ((i, j, value) for (i, j), value in delta.items())
-    )
-    return matrix.add(change)
+def apply_refresh(factors: LUFactors, delta: Entries) -> Optional[LUFactors]:
+    """Bennett-update ``factors`` in place by ``delta``, in the order given.
+
+    The body of every REFRESH work unit.  ``delta`` is the canonical delta
+    of :meth:`FactorCache.prepare_refresh`.  Returns the updated factors,
+    or ``None`` when the update would fill outside a sealed factor pattern
+    or a pivot breaks down; the caller then factorizes cold.
+    """
+    try:
+        bennett_update(factors, delta)
+    except (PatternError, SingularMatrixError):
+        return None
+    return factors
 
 
 class FactorCache:
@@ -82,21 +93,16 @@ class FactorCache:
         still an exact solve but not necessarily bit-identical to the
         decomposition-seeded factors it replaced.  :meth:`seed` refuses to
         overflow the bound (see its docstring) for the same reason.
-    refresh_threshold:
-        Delta-refresh feasibility gate, as a fraction of the cached system
-        matrix's non-zeros: a system delta with more entries than
-        ``refresh_threshold * nnz`` is rejected (counted in
-        ``refresh_fallbacks``) and the caller cold-factorizes instead.
     store:
         Optional :class:`~repro.store.factorstore.FactorStore` disk tier.
-        With a store attached, LRU evictions (and stealing refreshes)
-        *spill* the departing system to disk instead of dropping it, a
-        memory miss consults the store before reporting a miss to the
-        caller (a restored system is installed and returned — the planner
-        sees it as a cache hit and skips the cold factorization), and
-        :meth:`checkpoint` flushes the whole working set.  Refresh-produced
-        systems remember their provenance (parent + applied delta) so their
-        spills are compact delta checkpoints.  ``cache_info()`` grows four
+        With a store attached, LRU evictions *spill* the departing system
+        to disk instead of dropping it, a memory miss consults the store
+        before reporting a miss to the caller (a restored system is
+        installed and returned — the planner sees it as a cache hit and
+        skips the cold factorization), and :meth:`checkpoint` flushes the
+        whole working set.  Refresh-produced systems remember their
+        provenance (parent + applied delta) so their spills are compact
+        delta checkpoints.  ``cache_info()`` grows four
         extra counters — ``store_hits`` / ``store_misses`` (partitioning
         the memory misses), ``spills``, and ``restore_fallbacks`` (files
         that existed but could not be restored: corrupt, torn, or replay
@@ -106,18 +112,12 @@ class FactorCache:
     def __init__(
         self,
         max_systems: Optional[int] = None,
-        refresh_threshold: float = DEFAULT_REFRESH_THRESHOLD,
         store: Optional["FactorStore"] = None,
     ) -> None:
         if max_systems is not None and max_systems < 1:
             raise MeasureError(f"max_systems must be positive, got {max_systems}")
-        if refresh_threshold < 0.0:
-            raise MeasureError(
-                f"refresh_threshold must be non-negative, got {refresh_threshold}"
-            )
         self._systems: "OrderedDict[SystemKey, FactorizedSystem]" = OrderedDict()
         self._max_systems = max_systems
-        self._refresh_threshold = float(refresh_threshold)
         self._store = store
         #: refresh lineage per cached key, kept only while a store could
         #: spill it as a delta checkpoint (see RefreshProvenance)
@@ -148,15 +148,6 @@ class FactorCache:
     def keys(self) -> Iterator[SystemKey]:
         """Iterate over the cached system keys (snapshot → key index scans)."""
         return iter(tuple(self._systems))
-
-    @property
-    def disk_store(self) -> Optional["FactorStore"]:
-        """The attached disk tier, or ``None``.
-
-        (Named ``disk_store`` because :meth:`store` — the historical install
-        method — already occupies the ``store`` attribute.)
-        """
-        return self._store
 
     def lookup_memory(self, key: SystemKey) -> Optional[FactorizedSystem]:
         """Return the system cached *in memory* and count the hit or miss.
@@ -220,9 +211,10 @@ class FactorCache:
 
         The listener fires whenever the factors behind a key can no longer be
         assumed unchanged: the key is evicted (a later re-factorization is
-        exact but not necessarily bit-identical), dropped by a stealing
-        refresh, or has new factors installed over it.  Planners hang their
-        result caches here so derived answers never outlive their factors.
+        exact but not necessarily bit-identical), is dropped by
+        :meth:`clear`, or has new factors installed over it.  Planners hang
+        their result caches here so derived answers never outlive their
+        factors.
 
         Bound-method listeners are held **weakly** (their receiver is not
         kept alive by the subscription, and dead subscriptions are pruned),
@@ -233,7 +225,7 @@ class FactorCache:
         self._invalidation_listeners.append(self._hold_listener(listener))
 
     def add_eviction_listener(self, listener: Callable[[SystemKey], None]) -> None:
-        """Subscribe to key *removals* only (LRU eviction, steal, clear).
+        """Subscribe to key *removals* only (LRU eviction, clear).
 
         Unlike :meth:`add_invalidation_listener` — which also fires when new
         factors are installed over a key — this channel fires exactly when a
@@ -340,120 +332,62 @@ class FactorCache:
         self._install(key, system)
 
     # ------------------------------------------------------------------ #
-    # Delta refresh
+    # Delta refresh: prepare_refresh -> apply_refresh -> commit_refresh
     # ------------------------------------------------------------------ #
-    def _refresh_feasible(
-        self, cached: Optional[FactorizedSystem], delta: Entries
-    ) -> bool:
-        """Gate a refresh: the parent must be cached and the delta small."""
-        if cached is None:
-            return False
-        return len(delta) <= self._refresh_threshold * max(cached.matrix.nnz, 1)
-
     def prepare_refresh(
         self, old_key: SystemKey, delta: Entries
-    ) -> Optional[FactorizedSystem]:
-        """Feasibility-check a refresh and return a mutable clone of the parent.
+    ) -> Optional[Tuple[FactorizedSystem, Entries]]:
+        """Gate a refresh and return a mutable clone plus its canonical delta.
 
         ``delta`` is the system-matrix entry delta in *original* (unordered)
-        coordinates; only its size matters here.  Returns a clone whose
-        factor container may be Bennett-updated in place (e.g. inside an
-        executor work unit), or ``None`` — counting a ``refresh_fallbacks``
-        — when the parent is missing or the delta exceeds the threshold.
-        Hit/miss counters are untouched either way.
+        coordinates.  The refresh is refused — ``None``, counting a
+        ``refresh_fallbacks`` — when the parent is not cached or the delta
+        touches more than :data:`DEFAULT_REFRESH_THRESHOLD` of the parent
+        matrix's non-zeros.  Otherwise returns a clone of the parent whose
+        factors :func:`apply_refresh` may update in place, and the delta
+        mapped through the clone's ordering in sorted-key order.  The sweep,
+        the recorded provenance and a store replay all consume that one
+        order, so a ``.delta`` checkpoint does not depend on how the delta
+        was built.  Hit/miss counters are untouched either way.
         """
         cached = self._systems.get(old_key)
-        if not self._refresh_feasible(cached, delta):
+        if cached is None or len(delta) > DEFAULT_REFRESH_THRESHOLD * max(
+            cached.matrix.nnz, 1
+        ):
             self._refresh_fallbacks += 1
             return None
-        return cached.clone()
+        working = cached.clone()
+        ordering = working.ordering
+        mapped = ordering.map_entries(delta) if ordering is not None else delta
+        return working, dict(sorted(mapped.items()))
 
     def commit_refresh(
         self,
         new_key: SystemKey,
         system: FactorizedSystem,
-        provenance: Optional["RefreshProvenance"] = None,
+        parent_key: SystemKey,
+        delta: Entries,
     ) -> None:
         """Install a successfully refreshed system (counted in ``refreshes``).
 
-        ``provenance`` — the parent system and the exact applied delta — is
-        remembered (only while a store is attached; it pins the parent
-        system in memory) so a later spill of this key writes a compact
+        ``delta`` is the canonical delta :meth:`prepare_refresh` returned.
+        With a store attached, and while ``parent_key`` is still cached, the
+        parent system and that delta are remembered as the new key's
+        :class:`~repro.store.factorstore.RefreshProvenance` (pinning the
+        parent in memory), so a later spill of this key writes a compact
         delta checkpoint instead of a full one.
         """
+        parent = self._systems.get(parent_key) if self._store is not None else None
         self._install(new_key, system)
-        if provenance is not None and self._store is not None:
-            self._provenance[new_key] = provenance
+        if parent is not None:
+            from repro.store.factorstore import RefreshProvenance
+
+            self._provenance[new_key] = RefreshProvenance(parent_key, parent, delta)
         self._refreshes += 1
 
     def refresh_failed(self) -> None:
         """Record that a prepared refresh broke down numerically."""
         self._refresh_fallbacks += 1
-
-    def refresh(
-        self,
-        old_key: SystemKey,
-        new_key: SystemKey,
-        delta: Entries,
-        new_matrix: Optional[SparseMatrix] = None,
-        steal: bool = False,
-    ) -> Optional[FactorizedSystem]:
-        """Derive the system for ``new_key`` from ``old_key`` by Bennett update.
-
-        The paper's INC insight applied to the serving cache: instead of a
-        cold factorization for a snapshot that evolved from a cached one by a
-        small delta, clone (or, with ``steal=True``, remove and reuse) the
-        cached :class:`FactorizedSystem`, apply the sparse system-matrix
-        ``delta`` (original coordinates; mapped through the stored ordering
-        here) as rank-1 Bennett sweeps, and install the result under
-        ``new_key``.
-
-        Returns the refreshed system, or ``None`` with ``refresh_fallbacks``
-        incremented when the parent is missing, the delta exceeds
-        ``refresh_threshold`` as a fraction of the cached matrix's non-zeros,
-        the update would fill outside a static factor pattern
-        (:class:`~repro.errors.PatternError`), or a pivot breaks down — the
-        caller then falls back to a full factorization.  Every failure mode
-        leaves the parent entry intact (``steal`` only takes effect on
-        success).  Hit/miss counters are never touched.  ``new_matrix``
-        overrides the stored matrix of the result (defaults to
-        ``old matrix + delta``).
-        """
-        cached = self._systems.get(old_key)
-        if not self._refresh_feasible(cached, delta):
-            self._refresh_fallbacks += 1
-            return None
-        # Always sweep on a clone — even when stealing — so a mid-sweep
-        # breakdown leaves the parent entry intact and still answering; the
-        # old key is dropped only once the refresh has succeeded.
-        working = cached.clone()
-        ordering = working.ordering
-        mapped = ordering.map_entries(delta) if ordering is not None else dict(delta)
-        try:
-            bennett_update(working.factors, mapped)
-        except (PatternError, SingularMatrixError):
-            self._refresh_fallbacks += 1
-            return None
-        if new_matrix is None:
-            new_matrix = _apply_entry_delta(cached.matrix, delta)
-        system = FactorizedSystem(new_matrix, ordering, working.factors)
-        if steal:
-            popped = self._systems.pop(old_key, None)
-            if popped is not None:
-                self._spill(old_key, popped)
-                self._provenance.pop(old_key, None)
-                self._invalidate(old_key)
-                self._evicted(old_key)
-        provenance: Optional["RefreshProvenance"] = None
-        if self._store is not None:
-            from repro.store.factorstore import RefreshProvenance
-
-            # This path applied ``mapped`` in its own insertion order (the
-            # executor refresh units sort theirs); the provenance must
-            # record exactly the order that produced the factors.
-            provenance = RefreshProvenance(old_key, cached, dict(mapped))
-        self.commit_refresh(new_key, system, provenance=provenance)
-        return system
 
     def checkpoint(self) -> int:
         """Flush every cached system to the store; return the spill count.
@@ -480,7 +414,7 @@ class FactorCache:
         With a store attached, four more counters appear: ``store_hits`` /
         ``store_misses`` partition the memory ``misses`` into served-from-
         disk vs truly cold, ``spills`` counts systems checkpointed on
-        eviction/steal/:meth:`checkpoint`, and ``restore_fallbacks`` counts
+        eviction or :meth:`checkpoint`, and ``restore_fallbacks`` counts
         checkpoint files that existed but could not be restored.  (They are
         omitted entirely for store-less caches, whose ``cache_info()`` stays
         byte-compatible with earlier releases.)
@@ -547,7 +481,7 @@ class ResultCache:
     Entries are value-isolated: arrays are copied in on store and copied out
     on hit, so callers may mutate their results freely.  Invalidation is
     driven by the factor cache (:meth:`FactorCache.add_invalidation_listener`):
-    whenever a key's factors are evicted, stolen or replaced, every answer
+    whenever a key's factors are evicted or replaced, every answer
     derived from them is dropped — a re-factorized system is exact but not
     necessarily bit-identical, and a refreshed one is not even that.
     """

@@ -65,7 +65,6 @@ from repro.query.cache import (  # noqa: F401  (historical import surface)
     FactorCache,
     ResultCache,
     ResultKey,
-    _apply_entry_delta,
 )
 from repro.query.resolution import (  # noqa: F401  (historical import surface)
     ApproximationRecord,
@@ -453,8 +452,8 @@ class QueryPlanner:
     def _on_factor_invalidation(self, key: SystemKey) -> None:
         """React to a factor-cache change: drop derived answers, stale scans.
 
-        Registered as a (weakly held) invalidation listener: any install,
-        eviction or steal changes the candidate set the reuse tiers scan,
+        Registered as a (weakly held) invalidation listener: any install or
+        eviction changes the candidate set the reuse tiers scan,
         so the ladder's scan memo is discarded wholesale (it also holds the
         corrected tier's correctors, built over possibly-departed factors),
         and the result cache drops the answers derived from the affected

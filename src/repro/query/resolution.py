@@ -605,7 +605,8 @@ class RefreshTier(ResolutionTier):
     """Bennett-refresh miss groups from their cached lineage parents (precedence 5).
 
     A bulk tier: each refresh goes :meth:`FactorCache.prepare_refresh` →
-    REFRESH work unit → :meth:`FactorCache.commit_refresh`, and the units
+    REFRESH work unit (:func:`~repro.query.cache.apply_refresh`) →
+    :meth:`FactorCache.commit_refresh`, and the units
     dispatch through the same executors as factor units, so independent
     refreshes fan out onto a worker pool.  Refreshed systems are committed
     to the factor cache under their new keys (unlike the reuse tiers'
@@ -633,7 +634,6 @@ class RefreshTier(ResolutionTier):
         resolved: Dict[SystemKey, Resolution] = {}
         cold: List["PlannedGroup"] = []
         pending = list(groups)
-        record_provenance = ctx.cache.disk_store is not None
         while pending:
             jobs: List[Tuple["PlannedGroup", SparseMatrix, SystemKey, Entries]] = []
             payloads = []
@@ -658,18 +658,15 @@ class RefreshTier(ResolutionTier):
                 if prepared is None:
                     cold.append(group)
                     continue
-                ordering = prepared.ordering
-                mapped = (
-                    ordering.map_entries(entries)
-                    if ordering is not None
-                    else dict(entries)
-                )
+                working, mapped = prepared
                 query = group.queries[0]
                 new_matrix = get_spec(query.measure).system_matrix(
                     query.snapshot, query.damping, query.param_dict
                 )
                 jobs.append((group, new_matrix, old_key, mapped))
-                payloads.append((new_matrix, prepared.factors, ordering, mapped))
+                payloads.append(
+                    (new_matrix, working.factors, working.ordering, mapped)
+                )
             committed = 0
             if jobs:
                 exec_plan = plan_refresh_batch(payloads)
@@ -684,23 +681,7 @@ class RefreshTier(ResolutionTier):
                     system = FactorizedSystem(
                         new_matrix, decomposition.ordering, decomposition.factors
                     )
-                    provenance = None
-                    parent_system = (
-                        ctx.cache.peek(old_key) if record_provenance else None
-                    )
-                    if parent_system is not None:
-                        from repro.store.factorstore import RefreshProvenance
-
-                        # The refresh units freeze and apply the delta in
-                        # sorted-key order (see plan_refresh_batch); the
-                        # provenance must record exactly that order for a
-                        # bit-exact replay at restore time.
-                        provenance = RefreshProvenance(
-                            old_key, parent_system, dict(sorted(mapped.items()))
-                        )
-                    ctx.cache.commit_refresh(
-                        group.key, system, provenance=provenance
-                    )
+                    ctx.cache.commit_refresh(group.key, system, old_key, mapped)
                     resolved[group.key] = Resolution(
                         tier=self.name, solver=system, cache_base=group.key
                     )

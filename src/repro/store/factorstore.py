@@ -13,14 +13,14 @@ owns at most one file:
 ``<digest>.delta``
     A delta checkpoint for a refresh-produced system: the child's system
     matrix plus the exact Bennett entry delta that produced its factors, in
-    the exact order it was applied, referencing the lineage parent's
-    checkpoint by key digest *and* payload digest.  The parent may itself
-    be a delta checkpoint — an evolving chain persists as one full
-    checkpoint at the root plus one small delta per generation.  Restore
-    recursively restores the parent (depth-capped), verifies the payload
-    digest (the delta was recorded against those exact bits; a restored
-    parent re-encodes deterministically, so the digest is comparable at any
-    chain depth), clones, and replays
+    sorted-key order (the one order every refresh applies), referencing the
+    lineage parent's checkpoint by key digest *and* payload digest.  The
+    parent may itself be a delta checkpoint — an evolving chain persists as
+    one full checkpoint at the root plus one small delta per generation.
+    Restore recursively restores the parent (depth-capped), verifies the
+    payload digest (the delta was recorded against those exact bits; a
+    restored parent re-encodes deterministically, so the digest is
+    comparable at any chain depth), clones, and replays
     :func:`~repro.lu.bennett.bennett_update` with its default tolerances —
     reproducing the in-memory child bit for bit.  The factor payload
     (which carries the fill-in) is what dominates a full checkpoint, so a
@@ -29,9 +29,8 @@ owns at most one file:
 Every restore failure — missing file, torn/corrupt blob
 (:class:`~repro.errors.StoreFormatError`), parent payload mismatch, pattern
 violation or pivot breakdown during replay — degrades to ``None``: the
-caller treats it as a store miss and cold-factorizes, mirroring
-:meth:`~repro.query.planner.FactorCache.refresh` fallback semantics.  A bad
-checkpoint is never served.
+caller treats it as a store miss and cold-factorizes, as it does when a
+Bennett refresh breaks down.  A bad checkpoint is never served.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ from repro.store.serialize import (
 class RefreshProvenance:
     """How a refresh-produced system's factors came to be.
 
-    Recorded by :class:`~repro.query.planner.FactorCache` when a refresh
-    commits, consumed at spill time to write a delta checkpoint instead of a
+    Recorded by :meth:`~repro.query.cache.FactorCache.commit_refresh`,
+    consumed at spill time to write a delta checkpoint instead of a
     full one.
 
     Attributes
@@ -78,12 +77,9 @@ class RefreshProvenance:
         the child's provenance is dropped (bounding the extra memory to one
         parent generation per refreshed key).
     delta:
-        The mapped (reordered) entry delta exactly as applied, in its
-        applied iteration order — the planner's refresh units apply it in
-        sorted-key order while :meth:`FactorCache.refresh` applies it in
-        ``map_entries`` insertion order, and Bennett sweeps are sensitive to
-        that order, so the dict preserves whichever order produced the
-        factors.
+        The mapped (reordered) entry delta in sorted-key order, the order
+        :meth:`~repro.query.cache.FactorCache.prepare_refresh` fixes and the
+        sweeps applied, so a replay applies exactly what the refresh did.
     """
 
     parent_key: SystemKey

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List
-
-import numpy as np
+from typing import Dict
 
 from repro.core.clude import decompose_cluster_clude
 from repro.core.result import Stopwatch
+from repro.graphs.generators import evolving_chain
 from repro.graphs.matrixkind import MatrixKind, measure_matrix, system_delta
-from repro.graphs.snapshot import GraphSnapshot
 from repro.lu.bennett import bennett_update
 from repro.query.spec import FactorizedSystem
 
@@ -43,29 +41,6 @@ NODES = 120
 REFRESHES = 12
 CLUSTER_MEMBERS = 8
 DAMPING = 0.85
-
-
-def evolving_chain(seed: int, length: int) -> List[GraphSnapshot]:
-    """A directed graph with 3 out-edges per node on average, +3/-2 edges a step."""
-    rng = np.random.default_rng(seed)
-    edges = set()
-    while len(edges) < NODES * 3:
-        u, v = (int(x) for x in rng.integers(0, NODES, size=2))
-        if u != v:
-            edges.add((u, v))
-    current = GraphSnapshot(NODES, edges)
-    chain = [current]
-    for _ in range(length - 1):
-        existing = sorted(current.edges)
-        dropped = {existing[int(rng.integers(0, len(existing)))] for _ in range(2)}
-        fresh = set()
-        while len(fresh) < 3:
-            u, v = (int(x) for x in rng.integers(0, NODES, size=2))
-            if u != v and (u, v) not in current.edges:
-                fresh.add((u, v))
-        current = current.with_edges(added=fresh, removed=dropped)
-        chain.append(current)
-    return chain
 
 
 def factor_state(factors) -> Dict[str, object]:
@@ -102,7 +77,7 @@ def _step_record(factors, active_steps: int) -> Dict[str, object]:
 
 def growable_chain() -> Dict[str, object]:
     """Replay the serve-like refresh chain through growable factors."""
-    chain = evolving_chain(seed=20161, length=REFRESHES + 1)
+    chain = evolving_chain(NODES, REFRESHES + 1, 3, 2, seed=20161)
     matrix = measure_matrix(chain[0], MatrixKind.RANDOM_WALK, DAMPING)
     system = FactorizedSystem.factorize(matrix)
     factors = system.factors
@@ -116,7 +91,7 @@ def growable_chain() -> Dict[str, object]:
 
 def sealed_chain() -> Dict[str, object]:
     """Replay one CLUDE cluster through the sealed USSP structure."""
-    chain = evolving_chain(seed=7349, length=CLUSTER_MEMBERS)
+    chain = evolving_chain(NODES, CLUSTER_MEMBERS, 3, 2, seed=7349)
     members = [measure_matrix(s, MatrixKind.RANDOM_WALK, DAMPING) for s in chain]
     decompositions = decompose_cluster_clude(members, 0, 0, Stopwatch())
     ordering = decompositions[0].ordering

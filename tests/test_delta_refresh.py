@@ -46,6 +46,7 @@ from repro.query import (
     make_query,
     system_key,
 )
+from repro.query.cache import apply_refresh
 from repro.sparse.csr import SparseMatrix
 from repro.sparse.pattern import SparsityPattern
 
@@ -180,104 +181,85 @@ class TestSystemDelta:
 
 
 # ---------------------------------------------------------------------- #
-# FactorCache.refresh (the direct one-pair API)
+# FactorCache refresh protocol, driven through the planner
 # ---------------------------------------------------------------------- #
-def _cached_pair(rng=None, nodes=40, edges=140, additions=2, removals=2):
-    """Return (cache, old_key, new_key, old/new snapshots) with old cached."""
-    rng = rng if rng is not None else np.random.default_rng(5)
-    before = random_snapshot(rng, nodes, edges)
-    after = evolve(rng, before, additions=additions, removals=removals)
-    cache = FactorCache()
+def _refresh_pair():
+    """Cache PageRank's system for ``before``, register ``before -> after``.
+
+    Returns ``(planner, old_key, new_key, before, after)``; the next
+    ``planner.run`` on ``after`` takes the refresh tier.
+    """
+    rng = np.random.default_rng(5)
+    before = random_snapshot(rng, 40, 140)
+    after = evolve(rng, before, additions=2, removals=2)
+    planner = QueryPlanner()
+    planner.run(QueryBatch().add_pagerank(before))
+    planner.register_evolution(before, after)
     old_key = system_key(make_query("pagerank", before))
     new_key = system_key(make_query("pagerank", after))
-    cache.seed(old_key, FactorizedSystem.factorize(measure_matrix(before)))
-    return cache, old_key, new_key, before, after
+    return planner, old_key, new_key, before, after
+
+
+def _raise_singular(*args, **kwargs):
+    raise SingularMatrixError(0, 0.0)
 
 
 class TestFactorCacheRefresh:
     def test_refresh_matches_cold_factorization(self):
-        cache, old_key, new_key, before, after = _cached_pair()
-        delta = system_delta(before, after)
-        system = cache.refresh(old_key, new_key, delta,
-                               new_matrix=measure_matrix(after))
-        assert system is not None
-        assert new_key in cache and old_key in cache
-        cold = FactorizedSystem.factorize(measure_matrix(after))
+        planner, old_key, new_key, before, after = _refresh_pair()
+        outcome = planner.run(QueryBatch().add_pagerank(after))
+        assert outcome.stats.refreshes == 1 and outcome.stats.factorizations == 0
+        assert new_key in planner.cache and old_key in planner.cache
+        system = planner.cache.peek(new_key)
+        want = measure_matrix(after)
+        assert system.matrix.to_dense().tobytes() == want.to_dense().tobytes()
+        cold = FactorizedSystem.factorize(want)
         b = np.ones(before.n)
         assert np.max(np.abs(system.solve(b) - cold.solve(b))) < TOLERANCE
-        info = cache.cache_info()
+        info = planner.cache_info()
         assert info["refreshes"] == 1
         assert info["refresh_fallbacks"] == 0
-        assert info["hits"] == 0 and info["misses"] == 0  # refresh is lookup-neutral
-
-    def test_refresh_default_matrix_is_old_plus_delta(self):
-        cache, old_key, new_key, before, after = _cached_pair()
-        delta = system_delta(before, after)
-        system = cache.refresh(old_key, new_key, delta)
-        want = measure_matrix(after)
-        assert system.matrix.n == want.n
-        assert np.max(np.abs(system.matrix.to_dense() - want.to_dense())) < 1e-12
+        # one counted miss per group lookup; the refresh install adds none
+        assert info["hits"] == 0 and info["misses"] == 2
 
     def test_refresh_leaves_parent_factors_untouched(self):
-        cache, old_key, new_key, before, after = _cached_pair()
+        planner, old_key, _, before, after = _refresh_pair()
         b = np.ones(before.n)
-        parent_before = cache.peek(old_key).solve(b)
-        cache.refresh(old_key, new_key, system_delta(before, after))
-        parent_after = cache.peek(old_key).solve(b)
+        parent_before = planner.cache.peek(old_key).solve(b)
+        assert planner.run(QueryBatch().add_pagerank(after)).stats.refreshes == 1
+        parent_after = planner.cache.peek(old_key).solve(b)
         assert parent_before.tobytes() == parent_after.tobytes()
 
-    def test_steal_removes_parent_entry(self):
-        cache, old_key, new_key, before, after = _cached_pair()
-        system = cache.refresh(old_key, new_key, system_delta(before, after),
-                               steal=True)
-        assert system is not None
-        assert old_key not in cache and new_key in cache
+    def test_threshold_fallback(self, monkeypatch):
+        monkeypatch.setattr("repro.query.cache.DEFAULT_REFRESH_THRESHOLD", 0.0)
+        planner, _, _, _, after = _refresh_pair()
+        outcome = planner.run(QueryBatch().add_pagerank(after))
+        assert outcome.stats.refreshes == 0 and outcome.stats.factorizations == 1
+        assert planner.cache_info()["refresh_fallbacks"] == 1
 
-    def test_steal_keeps_parent_on_breakdown(self, monkeypatch):
-        # steal only takes effect on success: a mid-sweep failure must leave
-        # the parent entry cached and answering.
-        cache, old_key, new_key, before, after = _cached_pair()
-        monkeypatch.setattr(
-            "repro.query.cache.bennett_update",
-            lambda *a, **k: (_ for _ in ()).throw(SingularMatrixError(0, 0.0)),
-        )
-        assert cache.refresh(old_key, new_key, system_delta(before, after),
-                             steal=True) is None
-        assert old_key in cache and new_key not in cache
-        assert cache.cache_info()["refresh_fallbacks"] == 1
-
-    def test_threshold_fallback(self):
+    def test_missing_parent_fallback(self):
+        # The lineage stays registered (the parent snapshot is cached at
+        # another damping), but the parent *system* for this key is absent.
         rng = np.random.default_rng(5)
         before = random_snapshot(rng, 40, 140)
         after = evolve(rng, before, additions=2, removals=2)
-        cache = FactorCache(refresh_threshold=0.0)
-        old_key = system_key(make_query("pagerank", before))
-        new_key = system_key(make_query("pagerank", after))
-        cache.seed(old_key, FactorizedSystem.factorize(measure_matrix(before)))
-        assert cache.refresh(old_key, new_key, system_delta(before, after)) is None
-        assert cache.cache_info()["refresh_fallbacks"] == 1
-        assert new_key not in cache
-
-    def test_missing_parent_fallback(self):
-        cache, old_key, new_key, before, after = _cached_pair()
-        cache.clear()
-        assert cache.refresh(old_key, new_key, system_delta(before, after)) is None
-        assert cache.cache_info()["refresh_fallbacks"] == 1
+        planner = QueryPlanner()
+        planner.run(QueryBatch().add_pagerank(before, damping=0.5))
+        planner.register_evolution(before, after)
+        outcome = planner.run(QueryBatch().add_pagerank(after))
+        assert outcome.stats.refreshes == 0 and outcome.stats.factorizations == 1
+        assert planner.cache_info()["refresh_fallbacks"] == 1
 
     def test_pivot_breakdown_fallback(self, monkeypatch):
-        cache, old_key, new_key, before, after = _cached_pair()
-        monkeypatch.setattr(
-            "repro.query.cache.bennett_update",
-            lambda *a, **k: (_ for _ in ()).throw(SingularMatrixError(0, 0.0)),
-        )
-        assert cache.refresh(old_key, new_key, system_delta(before, after)) is None
-        info = cache.cache_info()
+        planner, old_key, new_key, _, after = _refresh_pair()
+        monkeypatch.setattr("repro.query.cache.bennett_update", _raise_singular)
+        outcome = planner.run(QueryBatch().add_pagerank(after))
+        assert outcome.stats.refreshes == 0 and outcome.stats.factorizations == 1
+        info = planner.cache_info()
         assert info["refresh_fallbacks"] == 1 and info["refreshes"] == 0
-        assert old_key in cache  # clone path: parent entry survives the breakdown
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(MeasureError):
-            FactorCache(refresh_threshold=-0.1)
+        assert old_key in planner.cache  # clone path: the parent survives
+        cold = QueryPlanner().run(QueryBatch().add_pagerank(after))
+        assert outcome[0].tobytes() == cold[0].tobytes()
 
     def test_refresh_unit_reports_pattern_violation_as_none(self):
         # A diagonal-only static pattern cannot absorb off-diagonal fill, so
@@ -353,17 +335,19 @@ class TestCloneSemantics:
         for name in ("l_rows", "l_values", "u_cols", "u_values"):
             assert all(a is not b for a, b in zip(getattr(ours, name), getattr(theirs, name)))
 
-    def test_failed_prepared_refresh_leaves_parent_intact(self):
-        cache = FactorCache(refresh_threshold=10.0)  # a 3-entry delta on nnz 4
+    def test_failed_prepared_refresh_leaves_parent_intact(self, monkeypatch):
+        # Let a 3-entry delta on nnz 4 past the gate.
+        monkeypatch.setattr("repro.query.cache.DEFAULT_REFRESH_THRESHOLD", 10.0)
+        cache = FactorCache()
         key = system_key(make_query("pagerank", GraphSnapshot(3, [(0, 1)])))
         cache.seed(key, self._parent_system())
         before = self._state(cache.peek(key).factors)
         # The first rank-1 sweep reshapes column 0; the second zeroes pivot 2.
         delta = dict(self.RESHAPING_DELTA)
         delta[(2, 2)] = -2.0
-        working = cache.prepare_refresh(key, delta)
-        with pytest.raises(SingularMatrixError):
-            bennett_update(working.factors, delta)
+        working, mapped = cache.prepare_refresh(key, delta)
+        assert list(mapped) == sorted(delta)
+        assert apply_refresh(working.factors, mapped) is None
         assert working.factors.structural_ops == 2
         assert self._state(cache.peek(key).factors) == before
 
@@ -566,9 +550,10 @@ class TestPlannerRefresh:
             assert np.max(np.abs(outcome[0] - cold[0])) < TOLERANCE
             snapshot = evolved
 
-    def test_oversized_delta_falls_back_cold(self):
+    def test_oversized_delta_falls_back_cold(self, monkeypatch):
         before, _ = _evolved_pair()
-        planner = QueryPlanner(cache=FactorCache(refresh_threshold=0.0))
+        monkeypatch.setattr("repro.query.cache.DEFAULT_REFRESH_THRESHOLD", 0.0)
+        planner = QueryPlanner()
         planner.run(QueryBatch().add_pagerank(before))
         after = before.with_edges(added=[(0, before.n - 1)])
         planner.register_evolution(before, after)
@@ -600,7 +585,7 @@ class TestPlannerRefresh:
     def test_lineage_with_missing_parent_counts_fallback(self):
         # Lineage registered but the parent system was never cached (or was
         # evicted): the group cold-factorizes AND the fallback is counted,
-        # matching FactorCache.refresh on a missing parent.
+        # like a refresh whose parent is missing at prepare time.
         before, after = _evolved_pair(seed=24)
         planner = QueryPlanner()
         planner.register_evolution(before, after)

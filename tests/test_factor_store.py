@@ -32,10 +32,11 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasureError, StoreFormatError
-from repro.graphs.matrixkind import MatrixKind, measure_matrix, system_delta
+from repro.graphs.matrixkind import MatrixKind, measure_matrix
 from repro.graphs.snapshot import GraphSnapshot
 from repro.query import FactorCache, QueryPlanner, make_query
-from repro.query.spec import FactorizedSystem, SystemKey
+from repro.query import spec as spec_module
+from repro.query.spec import FactorizedSystem, MeasureSpec, SystemKey, get_spec
 from repro.serve import MeasureServer
 from repro.store import FactorStore
 from repro.store.factorstore import system_key_digest
@@ -297,26 +298,32 @@ class TestCorruption:
 # ---------------------------------------------------------------------- #
 class TestDeltaCheckpoints:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
-    def test_delta_restore_equals_memory_and_full_restore(self, tmp_path, kind):
+    def test_delta_restore_equals_memory_and_full_restore(
+        self, tmp_path, kind, monkeypatch
+    ):
+        # SYMMETRIC_WALK renormalization touches every entry of the affected
+        # rows/columns; raise the feasibility gate so all kinds refresh.
+        monkeypatch.setattr("repro.query.cache.DEFAULT_REFRESH_THRESHOLD", 10.0)
+        # A throwaway measure per kind, so the planner refreshes every kind.
+        spec = MeasureSpec(
+            name=f"store_delta_{kind.value}",
+            kind=kind,
+            build_rhs=get_spec("pagerank").build_rhs,
+        )
+        monkeypatch.setitem(spec_module._REGISTRY, spec.name, spec)
         damping = damping_for(kind)
         parent_graph = random_graph(24, 70, seed=5)
         child_graph = evolve(parent_graph, seed=6)
         parent_key = SystemKey(parent_graph, kind, damping)
         child_key = SystemKey(child_graph, kind, damping)
         store = FactorStore(str(tmp_path / "delta"))
-        # SYMMETRIC_WALK renormalization touches every entry of the affected
-        # rows/columns; raise the feasibility gate so all kinds refresh.
-        cache = FactorCache(store=store, refresh_threshold=10.0)
-        cache.seed(parent_key, factorized(parent_graph, kind))
-        entries = system_delta(
-            parent_graph, child_graph, kind=kind, damping=damping
-        )
-        child_matrix = measure_matrix(child_graph, kind=kind, damping=damping)
-        child = cache.refresh(
-            parent_key, child_key, entries, new_matrix=child_matrix
-        )
-        assert child is not None
-        assert cache.checkpoint() == 2
+        planner = QueryPlanner(store=store)
+        planner.run([make_query(spec.name, parent_graph, damping=damping)])
+        planner.register_evolution(parent_graph, child_graph)
+        outcome = planner.run([make_query(spec.name, child_graph, damping=damping)])
+        assert outcome.stats.refreshes == 1
+        child = planner.cache.peek(child_key)
+        assert planner.checkpoint() == 2
         assert store.path_for(child_key).endswith(".delta")
         assert store.path_for(parent_key).endswith(".factors")
         # Delta-compressed: the factor payload is gone from the child file.
@@ -361,17 +368,11 @@ class TestDeltaCheckpoints:
         parent_key = SystemKey(parent_graph, MatrixKind.RANDOM_WALK, 0.85)
         child_key = SystemKey(child_graph, MatrixKind.RANDOM_WALK, 0.85)
         store = FactorStore(str(tmp_path))
-        cache = FactorCache(store=store)
-        parent = factorized(parent_graph, MatrixKind.RANDOM_WALK)
-        cache.seed(parent_key, parent)
-        entries = system_delta(parent_graph, child_graph)
-        child = cache.refresh(
-            parent_key,
-            child_key,
-            entries,
-            new_matrix=measure_matrix(child_graph),
-        )
-        cache.checkpoint()
+        planner = QueryPlanner(store=store)
+        planner.run([make_query("pagerank", parent_graph)])
+        planner.register_evolution(parent_graph, child_graph)
+        assert planner.run([make_query("pagerank", child_graph)]).stats.refreshes == 1
+        planner.checkpoint()
         # Replace the parent's checkpoint with a *different* payload: the
         # recorded payload digest no longer matches, so the delta must not
         # replay against it.
@@ -379,7 +380,7 @@ class TestDeltaCheckpoints:
         store.save_full(parent_key, other)
         assert store.load(child_key) is None
         assert store.stats()["restore_failures"] == 1
-        assert child is not None  # the in-memory system is unaffected
+        assert child_key in planner.cache  # the in-memory system is unaffected
 
 
 # ---------------------------------------------------------------------- #

@@ -341,6 +341,8 @@ class TestLayering:
         "repro.query.resolution",
         "repro.query.planner",
         "repro.query",
+        "repro.exec.units",
+        "repro.store.factorstore",
         "repro",
     ])
     def test_module_imports_standalone(self, module):

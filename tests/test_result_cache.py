@@ -6,8 +6,8 @@ Contracts pinned here:
   cached answer is byte-for-byte the freshly computed one;
 * cached arrays are value-isolated in both directions (caller mutation never
   corrupts the cache, cache eviction never corrupts a caller);
-* answers never outlive the factors they came from — factor-cache eviction,
-  refresh installs and stealing refreshes all drop the derived entries;
+* answers never outlive the factors they came from — factor-cache evictions
+  and refresh installs both drop the derived entries;
 * approximate (policy-reused) answers are never cached.
 """
 
@@ -133,9 +133,13 @@ class TestInvalidation:
         assert outcome.stats.factorizations == 1
 
     def test_refresh_install_drops_stale_answers_for_key(self, tiny_graph):
-        # Answer `after` cold on one planner; then force a *refresh* install
-        # under the same key on a shared cache: the refreshed factors must
-        # invalidate the previously cached answers for that key.
+        # Answer `after` cold; then commit a *refresh* under the same key on
+        # the shared cache through the refresh protocol: the refreshed
+        # factors must invalidate the previously cached answers for that key.
+        from repro.graphs.matrixkind import measure_matrix, system_delta
+        from repro.query.cache import apply_refresh
+        from repro.query.spec import FactorizedSystem, make_query, system_key
+
         after = evolved(tiny_graph)
         cache = FactorCache()
         planner = QueryPlanner(cache=cache)
@@ -143,36 +147,23 @@ class TestInvalidation:
         baseline = planner.run(QueryBatch().add_pagerank(after))
         assert baseline.stats.factorizations == 1
         size_before = planner.cache_info()["result_size"]
-        planner.register_evolution(tiny_graph, after)
-        from repro.graphs.matrixkind import system_delta
-        from repro.query.spec import make_query, system_key
-
         old_key = system_key(make_query("pagerank", tiny_graph))
         new_key = system_key(make_query("pagerank", after))
-        refreshed = cache.refresh(
-            old_key, new_key, system_delta(tiny_graph, after)
+        working, delta = cache.prepare_refresh(
+            old_key, system_delta(tiny_graph, after)
         )
-        assert refreshed is not None
+        factors = apply_refresh(working.factors, delta)
+        assert factors is not None
+        cache.commit_refresh(
+            new_key,
+            FactorizedSystem(measure_matrix(after), working.ordering, factors),
+            old_key,
+            delta,
+        )
         info = planner.cache_info()
         assert info["result_size"] < size_before
         outcome = planner.run(QueryBatch().add_pagerank(after))
         assert outcome.stats.result_hits == 0  # recomputed from new factors
-
-    def test_steal_refresh_invalidates_the_parent_key(self, tiny_graph):
-        after = evolved(tiny_graph)
-        cache = FactorCache()
-        planner = QueryPlanner(cache=cache)
-        planner.run(QueryBatch().add_pagerank(tiny_graph))
-        assert planner.cache_info()["result_size"] == 1
-        from repro.graphs.matrixkind import system_delta
-        from repro.query.spec import make_query, system_key
-
-        old_key = system_key(make_query("pagerank", tiny_graph))
-        new_key = system_key(make_query("pagerank", after))
-        assert cache.refresh(
-            old_key, new_key, system_delta(tiny_graph, after), steal=True
-        ) is not None
-        assert planner.cache_info()["result_size"] == 0
 
     def test_clear_invalidates_everything(self, tiny_graph):
         planner = QueryPlanner()

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core.quality import reuse_loss_bound
-from repro.graphs.generators import growing_egs
+from repro.graphs.generators import evolving_chain, growing_egs
 from repro.graphs.matrixkind import MatrixKind, damping_delta, system_delta
 from repro.graphs.snapshot import GraphSnapshot
 from repro.measures.pagerank import pagerank_scores
@@ -48,30 +48,6 @@ SEED = 42
 BOUND_SLACK = 1e-9
 
 Run = Tuple[List[float], List[Tuple[QueryBatch, BatchResult]]]
-
-
-def evolving_chain(nodes: int, snapshots: int) -> List[GraphSnapshot]:
-    """A directed random graph (3 out-edges per node on average) evolving by
-    +3/-2 edges per step."""
-    rng = np.random.default_rng(SEED)
-    edges = set()
-    while len(edges) < nodes * 3:
-        u, v = (int(x) for x in rng.integers(0, nodes, size=2))
-        if u != v:
-            edges.add((u, v))
-    current = GraphSnapshot(nodes, edges)
-    chain = [current]
-    for _ in range(snapshots - 1):
-        existing = sorted(current.edges)
-        removed = {existing[int(rng.integers(0, len(existing)))] for _ in range(2)}
-        added = set()
-        while len(added) < 3:
-            u, v = (int(x) for x in rng.integers(0, nodes, size=2))
-            if u != v and (u, v) not in current.edges:
-                added.add((u, v))
-        current = current.with_edges(added=added, removed=removed)
-        chain.append(current)
-    return chain
 
 
 def serve(
@@ -193,7 +169,7 @@ def chain_runs():
     cold (a fresh factorization per snapshot), with refresh (each snapshot
     registered as an evolution of the previous one, so it Bennett-updates the
     previous factors) and under ``QCPolicy(alpha=0.9, loss_bound=6.0)``."""
-    chain = evolving_chain(150, 16)
+    chain = evolving_chain(150, 16, 3, 2, SEED)
     return SimpleNamespace(
         exact=serve(chain, QueryPlanner(), three_queries),
         refresh=serve(chain, QueryPlanner(), three_queries, lineage=True),
@@ -238,7 +214,7 @@ def corrected_runs():
     ``CorrectedPolicy`` (alpha=0.8, loss_bound=1.0, max_rank=10).  The bound
     is too tight for most verbatim reuse; the corrected tier applies the
     delta's dominant columns exactly and certifies only the rest."""
-    chain = evolving_chain(150, 12)
+    chain = evolving_chain(150, 12, 3, 2, SEED)
     return SimpleNamespace(
         exact=serve(chain, QueryPlanner(), two_dampings),
         qc=serve(chain, QueryPlanner(policy=QCPolicy(alpha=0.8, loss_bound=1.0)), two_dampings),
@@ -318,7 +294,7 @@ def replay_runs():
     snapshot.  The window (8) is smaller than the burst, so repeats cross
     batch boundaries.  The run without lineage is compared with one-shot
     planner runs; the run with lineage refreshes each new head."""
-    chain = evolving_chain(120, 6)
+    chain = evolving_chain(120, 6, 3, 2, SEED)
     rng = np.random.default_rng(SEED)
     pool = rng.choice(120, size=12, replace=False)
     weights = 1.0 / np.power(np.arange(12, dtype=float) + 1.0, 1.1)
