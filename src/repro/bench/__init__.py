@@ -16,7 +16,6 @@ from repro.bench.workloads import (
     Workload,
     dblp_workload,
     parallel_speedup_workload,
-    synthetic_workload,
     synthetic_workload_with_delta,
     wiki_workload,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "WORKER_SWEEP",
     "wiki_workload",
     "dblp_workload",
-    "synthetic_workload",
     "synthetic_workload_with_delta",
     "ALPHA_SWEEP",
     "BETA_SWEEP",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from repro.datasets.registry import load_dblp, load_synthetic, load_wiki
+from repro.datasets.registry import load_dblp, load_wiki
 from repro.errors import DatasetError
 from repro.graphs.ems import EvolvingMatrixSequence
 from repro.graphs.generators import SyntheticEGSConfig, generate_synthetic_egs
@@ -63,13 +63,6 @@ def dblp_workload(scale: str = "small", damping: float = 0.85) -> Workload:
     egs = load_dblp(scale)
     ems = EvolvingMatrixSequence.from_graphs(egs, kind=MatrixKind.SYMMETRIC_WALK, damping=damping)
     return Workload(name=f"dblp-{scale}", matrices=list(ems), symmetric=True)
-
-
-def synthetic_workload(scale: str = "small", damping: float = 0.85) -> Workload:
-    """The synthetic workload with the default generator parameters."""
-    egs = load_synthetic(scale)
-    ems = EvolvingMatrixSequence.from_graphs(egs, kind=MatrixKind.RANDOM_WALK, damping=damping)
-    return Workload(name=f"synthetic-{scale}", matrices=list(ems), symmetric=False)
 
 
 def synthetic_workload_with_delta(

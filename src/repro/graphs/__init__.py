@@ -2,7 +2,7 @@
 
 from repro.graphs.delta import GraphDelta, touched_nodes, touched_sources
 from repro.graphs.egs import EvolvingGraphSequence
-from repro.graphs.ems import EvolvingMatrixSequence, ems_from_graphs
+from repro.graphs.ems import EvolvingMatrixSequence
 from repro.graphs.generators import (
     SyntheticEGSConfig,
     generate_synthetic_egs,
@@ -23,7 +23,6 @@ __all__ = [
     "GraphDelta",
     "EvolvingGraphSequence",
     "EvolvingMatrixSequence",
-    "ems_from_graphs",
     "MatrixKind",
     "measure_matrix",
     "system_delta",

@@ -7,7 +7,7 @@ The EMS is the input of the LUDEM problem.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from repro.errors import DimensionError, EmptySequenceError
 from repro.graphs.egs import EvolvingGraphSequence
@@ -109,15 +109,3 @@ class EvolvingMatrixSequence:
         if step <= 0:
             raise DimensionError(f"step must be positive, got {step}")
         return EvolvingMatrixSequence(self._matrices[::step])
-
-
-def ems_from_graphs(
-    egs: EvolvingGraphSequence,
-    kind: MatrixKind = MatrixKind.RANDOM_WALK,
-    damping: float = DEFAULT_DAMPING,
-    limit: Optional[int] = None,
-) -> EvolvingMatrixSequence:
-    """Convenience wrapper combining truncation and matrix composition."""
-    if limit is not None:
-        egs = egs.subsequence(0, limit)
-    return EvolvingMatrixSequence.from_graphs(egs, kind=kind, damping=damping)

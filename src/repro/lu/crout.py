@@ -26,8 +26,6 @@ from bisect import bisect_left
 from itertools import compress
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import PatternError, SingularMatrixError
 from repro.lu.factors import LUFactors
 from repro.lu.symbolic import symbolic_decomposition
@@ -182,28 +180,3 @@ def _slot(indices: List[int], index: int, where: Tuple[int, int]) -> int:
             f"position {where} is outside the universal symbolic sparsity pattern"
         )
     return slot
-
-
-def crout_decompose_dense(
-    dense: np.ndarray, pivot_tolerance: float = PIVOT_TOLERANCE
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense reference Crout decomposition, returning ``(L, U)`` arrays.
-
-    ``L`` carries the pivots on its diagonal and ``U`` has a unit diagonal.
-    Used by the test-suite to validate the sparse implementation.
-    """
-    array = np.array(dense, dtype=float)
-    if array.ndim != 2 or array.shape[0] != array.shape[1]:
-        raise PatternError(f"expected a square 2-D array, got shape {array.shape}")
-    n = array.shape[0]
-    lower = np.zeros((n, n), dtype=float)
-    upper = np.eye(n, dtype=float)
-    for j in range(n):
-        for i in range(j, n):
-            lower[i, j] = array[i, j] - lower[i, :j] @ upper[:j, j]
-        pivot = lower[j, j]
-        if abs(pivot) <= pivot_tolerance:
-            raise SingularMatrixError(j, pivot)
-        for k in range(j + 1, n):
-            upper[j, k] = (array[j, k] - lower[j, :j] @ upper[:j, k]) / pivot
-    return lower, upper

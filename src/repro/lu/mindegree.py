@@ -115,14 +115,3 @@ def symmetric_symbolic_size(
                     adjacency[u].add(w)
                     adjacency[w].add(u)
     return total
-
-
-def symmetric_markowitz_reference(pattern: SparsityPattern) -> int:
-    """Return ``|s̃p(A*)|`` where ``A*`` is minimum-degree ordered.
-
-    Convenience wrapper combining :func:`minimum_degree_ordering` and
-    :func:`symmetric_symbolic_size`; this is the denominator of the
-    quality-loss measure (Definition 4) in the symmetric/LUDEM-QC setting.
-    """
-    ordering = minimum_degree_ordering(pattern)
-    return symmetric_symbolic_size(pattern, ordering.row.order)

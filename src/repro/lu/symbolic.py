@@ -101,53 +101,6 @@ def reorder_pattern(pattern: SparsityPattern, row_order: Sequence[int], column_o
     return SparsityPattern(n, ((new_row_of[i], new_col_of[j]) for i, j in pattern))
 
 
-def fill_path_exists(pattern: SparsityPattern, u: int, v: int) -> bool:
-    """Check Equation 2 directly: is there a fill path from ``u`` to ``v``?
-
-    A fill path is a path ``u -> u_1 -> … -> u_k -> v`` of length at least two
-    whose intermediate vertices all have indices smaller than ``min(u, v)``.
-    This reference implementation is exponential-free but slow (BFS over the
-    restricted vertex set); it exists so that tests can cross-validate the
-    elimination-based :func:`fill_in_pattern`.
-    """
-    n = pattern.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise DimensionError(f"vertices ({u}, {v}) out of bounds for n={n}")
-    limit = min(u, v)
-    adjacency: List[Set[int]] = [set() for _ in range(n)]
-    for i, j in pattern:
-        adjacency[i].add(j)
-    # BFS from u through vertices with index < limit, looking for v, with at
-    # least one intermediate vertex.
-    frontier = [w for w in adjacency[u] if w < limit]
-    visited = set(frontier)
-    while frontier:
-        next_frontier: List[int] = []
-        for w in frontier:
-            if v in adjacency[w]:
-                return True
-            for x in adjacency[w]:
-                if x < limit and x not in visited:
-                    visited.add(x)
-                    next_frontier.append(x)
-        frontier = next_frontier
-    return False
-
-
-def fill_in_pattern_reference(pattern: SparsityPattern) -> SparsityPattern:
-    """Reference (slow) implementation of Equation 2, for cross-validation in tests."""
-    n = pattern.n
-    present = pattern.indices
-    fills = set()
-    for u in range(n):
-        for v in range(n):
-            if u == v or (u, v) in present:
-                continue
-            if fill_path_exists(pattern, u, v):
-                fills.add((u, v))
-    return SparsityPattern(n, fills)
-
-
 def union_pattern(patterns: Iterable[SparsityPattern]) -> SparsityPattern:
     """Return the union of several sparsity patterns (all must share ``n``)."""
     patterns = list(patterns)

@@ -2,7 +2,6 @@
 
 from repro.measures.base import SnapshotMeasureSolver, normalize_distribution, rank_of
 from repro.measures.hitting_time import (
-    discounted_hitting_proximity,
     discounted_hitting_scores,
     discounted_hitting_scores_many,
 )
@@ -11,19 +10,14 @@ from repro.measures.pagerank import pagerank_rhs, pagerank_scores, pagerank_seri
 from repro.measures.power_iteration import (
     PowerIterationResult,
     power_iteration_solve,
-    power_iteration_solve_many,
     rwr_power_iteration,
 )
 from repro.measures.ppr import (
-    ppr_group_proximity,
-    ppr_many_rhs,
     ppr_rhs,
     ppr_scores,
     ppr_scores_many,
 )
 from repro.measures.rwr import (
-    rwr_many_rhs,
-    rwr_proximity,
     rwr_rhs,
     rwr_scores,
     rwr_scores_many,
@@ -40,20 +34,14 @@ __all__ = [
     "pagerank_rhs",
     "rwr_scores",
     "rwr_scores_many",
-    "rwr_proximity",
     "rwr_rhs",
-    "rwr_many_rhs",
     "ppr_scores",
     "ppr_scores_many",
-    "ppr_group_proximity",
     "ppr_rhs",
-    "ppr_many_rhs",
     "salsa_scores",
     "discounted_hitting_scores",
     "discounted_hitting_scores_many",
-    "discounted_hitting_proximity",
     "power_iteration_solve",
-    "power_iteration_solve_many",
     "rwr_power_iteration",
     "PowerIterationResult",
     "rwr_monte_carlo",

@@ -33,7 +33,7 @@ of ``A`` serves *every* target with one batched substitution sweep —
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,16 +82,3 @@ def discounted_hitting_scores_many(
         [{"target": target} for target in target_list],
         damping=damping,
     )
-
-
-def discounted_hitting_proximity(
-    snapshot: GraphSnapshot,
-    source: int,
-    target: int,
-    damping: float = DEFAULT_DAMPING,
-    scores: Optional[np.ndarray] = None,
-) -> float:
-    """Return the discounted-hitting proximity of ``target`` from ``source``."""
-    if scores is None:
-        scores = discounted_hitting_scores(snapshot, target, damping=damping)
-    return float(scores[source])

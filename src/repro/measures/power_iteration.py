@@ -61,39 +61,6 @@ def power_iteration_solve(
     return PowerIterationResult(x, iterations, False, residual)
 
 
-def power_iteration_solve_many(
-    walk_matrix: SparseMatrix,
-    queries: Sequence[Sequence[float]],
-    damping: float = DEFAULT_DAMPING,
-    tolerance: float = 1e-10,
-    max_iterations: int = 1000,
-) -> PowerIterationResult:
-    """Run power iteration for an ``(n, k)`` block of query vectors at once.
-
-    The recurrence ``X <- d W X + (1 - d) Q`` is applied to the whole block
-    through the batched matmat kernel; iteration stops when every column's
-    update falls below ``tolerance``.  ``scores`` has shape ``(n, k)`` and
-    ``residual`` is the worst column residual at the final iteration.
-    """
-    if not 0.0 < damping < 1.0:
-        raise MeasureError(f"damping factor must lie in (0, 1), got {damping}")
-    block = np.asarray(queries, dtype=float)
-    if block.ndim != 2 or block.shape[0] != walk_matrix.n:
-        raise MeasureError(
-            f"query block of shape {block.shape} incompatible with n={walk_matrix.n}"
-        )
-    x = (1.0 - damping) * block
-    iterations = 0
-    residual = float("inf")
-    for iterations in range(1, max_iterations + 1):
-        updated = damping * walk_matrix.matmat(x) + (1.0 - damping) * block
-        residual = float(np.max(np.abs(updated - x))) if x.size else 0.0
-        x = updated
-        if residual < tolerance:
-            return PowerIterationResult(x, iterations, True, residual)
-    return PowerIterationResult(x, iterations, False, residual)
-
-
 def rwr_power_iteration(
     snapshot: GraphSnapshot,
     start_node: int,

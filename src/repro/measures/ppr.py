@@ -46,19 +46,6 @@ def ppr_scores(
     return evaluate(query, system=solver)
 
 
-def ppr_many_rhs(
-    n: int,
-    seed_sets: Sequence[Iterable[int]],
-    damping: float = DEFAULT_DAMPING,
-) -> np.ndarray:
-    """Return the ``(n, k)`` block of PPR right-hand sides, one per seed set."""
-    if not len(seed_sets):
-        return np.zeros((n, 0), dtype=float)
-    return np.column_stack(
-        [ppr_rhs(n, seeds, damping) for seeds in seed_sets]
-    )
-
-
 def ppr_scores_many(
     snapshot: GraphSnapshot,
     seed_sets: Sequence[Iterable[int]],
@@ -79,20 +66,3 @@ def ppr_scores_many(
         damping=damping,
         system=solver,
     )
-
-
-def ppr_group_proximity(
-    snapshot: GraphSnapshot,
-    seeds: Iterable[int],
-    targets: Sequence[int],
-    damping: float = DEFAULT_DAMPING,
-    solver: Optional[SnapshotMeasureSolver] = None,
-) -> float:
-    """Return the summed PPR score of a target node group given a seed group.
-
-    This is the proximity aggregate used in the paper's case study: the
-    proximity of company Y from company X is the sum of PPR scores of Y's
-    nodes when X's nodes form the seed set.
-    """
-    scores = ppr_scores(snapshot, seeds, damping=damping, solver=solver)
-    return float(np.sum(scores[list(targets)]))

@@ -60,17 +60,6 @@ def rwr_scores(
     return evaluate(query, system=solver)
 
 
-def rwr_many_rhs(
-    n: int, start_nodes: Sequence[int], damping: float = DEFAULT_DAMPING
-) -> np.ndarray:
-    """Return the ``(n, k)`` block of RWR right-hand sides, one per start node."""
-    if not len(start_nodes):
-        return np.zeros((n, 0), dtype=float)
-    return np.column_stack(
-        [rwr_rhs(n, int(node), damping) for node in start_nodes]
-    )
-
-
 def rwr_scores_many(
     snapshot: GraphSnapshot,
     start_nodes: Sequence[int],
@@ -91,14 +80,3 @@ def rwr_scores_many(
         damping=damping,
         system=solver,
     )
-
-
-def rwr_proximity(
-    snapshot: GraphSnapshot,
-    start_node: int,
-    target_node: int,
-    damping: float = DEFAULT_DAMPING,
-) -> float:
-    """Return the RWR proximity of ``target_node`` from ``start_node``."""
-    scores = rwr_scores(snapshot, start_node, damping=damping)
-    return float(scores[target_node])

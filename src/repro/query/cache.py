@@ -1,10 +1,8 @@
 """The planner's two caches: factors by system key, answers by RHS digest.
 
-Split out of the planner monolith so the resolution ladder
-(:mod:`repro.query.resolution`) and the planner
-(:mod:`repro.query.planner`) both build on the same cache surface without
-a circular import.  Both caches are re-exported from
-``repro.query.planner`` for backwards compatibility.
+The resolution ladder (:mod:`repro.query.resolution`) and the planner
+(:mod:`repro.query.planner`) both build on this cache surface without a
+circular import.
 
 * :class:`FactorCache` holds :class:`~repro.query.spec.FactorizedSystem`
   objects keyed by :class:`~repro.query.spec.SystemKey`, with group-level

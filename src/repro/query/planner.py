@@ -30,11 +30,6 @@ before the substitution sweep, with invalidation driven by the factor
 cache; approximate serves are audited per group as
 :class:`~repro.query.resolution.ApproximationRecord` entries in the
 :class:`BatchResult`.
-
-This module historically also housed the caches and the miss-resolution
-machinery; they now live in :mod:`repro.query.cache` and
-:mod:`repro.query.resolution`, and every historical name is re-exported
-here unchanged.
 """
 
 from __future__ import annotations
@@ -59,26 +54,11 @@ from repro.errors import MeasureError
 from repro.exec.executors import Executor
 from repro.graphs.snapshot import GraphSnapshot
 from repro.query.batch import QueryBatch
-from repro.query.cache import (  # noqa: F401  (historical import surface)
-    DEFAULT_REFRESH_THRESHOLD,
-    DEFAULT_RESULT_CACHE_SIZE,
-    FactorCache,
-    ResultCache,
-    ResultKey,
-)
-from repro.query.resolution import (  # noqa: F401  (historical import surface)
+from repro.query.cache import FactorCache, ResultCache, ResultKey
+from repro.query.resolution import (
     ApproximationRecord,
-    CandidateScan,
-    ColdTier,
-    CorrectedReuseTier,
-    HitTier,
-    RefreshTier,
-    Resolution,
     ResolutionContext,
     ResolutionLadder,
-    ResolutionTier,
-    StoreRestoreTier,
-    VerbatimReuseTier,
 )
 from repro.query.spec import (
     FactorizedSystem,

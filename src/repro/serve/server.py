@@ -46,7 +46,8 @@ from repro.exec.executors import Executor
 from repro.graphs.matrixkind import DEFAULT_DAMPING, validate_damping
 from repro.graphs.snapshot import GraphSnapshot
 from repro.query.batch import QueryBatch
-from repro.query.planner import FactorCache, QueryPlanner, ResultCache
+from repro.query.cache import FactorCache, ResultCache
+from repro.query.planner import QueryPlanner
 from repro.query.spec import Query, get_spec, make_query
 from repro.serve.stats import (
     DEFAULT_HISTORY,
@@ -151,7 +152,7 @@ class MeasureServer:
         head delta-refresh the parent's cached factors.  Disable for
         unboundedly evolving streams served by ``auto_refresh`` or a
         :class:`~repro.policy.qc.QCPolicy`, which need no per-pair state
-        (with a size-bounded :class:`~repro.query.planner.FactorCache` the
+        (with a size-bounded :class:`~repro.query.cache.FactorCache` the
         lineage registry is bounded either way: entries are pruned when
         their parent's factors are evicted).
     history:
@@ -351,7 +352,7 @@ class MeasureServer:
         the spill sees a consistent working set and runs *on the serving
         thread* — the planner is never touched concurrently.  The future
         resolves to the number of systems checkpointed (see
-        :meth:`~repro.query.planner.FactorCache.checkpoint`), or raises
+        :meth:`~repro.query.cache.FactorCache.checkpoint`), or raises
         :class:`~repro.errors.MeasureError` when the planner's cache has no
         store attached.  A replacement server constructed over the same
         store directory then answers every checkpointed system from disk,

@@ -12,7 +12,7 @@ operator actually debugs with:
 request/batch/update counters, the batch-size histogram (how well the
 admission window coalesces), per-phase latency summaries with p50/p99, the
 planner's ``cache_info()`` counters, and the approximation audit passthrough
-(one :class:`~repro.query.planner.ApproximationRecord` per policy-served
+(one :class:`~repro.query.resolution.ApproximationRecord` per policy-served
 group, exactly as the planner reported it).
 """
 
@@ -23,7 +23,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.query.planner import ApproximationRecord
+from repro.query.resolution import ApproximationRecord
 
 #: How many of the most recent per-request latency records a server keeps for
 #: percentile snapshots.  Aggregate counters are lifetime-exact regardless.
@@ -109,7 +109,7 @@ class ServerStats:
     corrected_served:
         The subset of ``approximations_served`` answered through the
         corrected-reuse tier (rank-``k`` SMW correction or cross-damping
-        sharing — any :class:`~repro.query.planner.ApproximationRecord`
+        sharing — any :class:`~repro.query.resolution.ApproximationRecord`
         whose ``mode`` is not ``"verbatim"``; lifetime count).
     recent_approximations:
         The planner's audit records for the most recent approximate batches

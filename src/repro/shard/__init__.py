@@ -2,7 +2,7 @@
 
 Layering::
 
-    arena.py    shared-memory segments for immutable CSR payloads
+    arena.py    shared-memory segments for immutable graph snapshots
     router.py   content-stable SystemKey -> shard assignment
     worker.py   persistent ShardWorker process (owns one cache shard)
     planner.py  ShardedPlanner front-end (plan, route, merge)
@@ -14,10 +14,8 @@ resolution tiers.
 """
 
 from repro.shard.arena import (
-    MatrixHandle,
     SharedMemoryArena,
     SnapshotHandle,
-    attach_matrix,
     attach_snapshot,
 )
 from repro.shard.planner import ShardedPlanner
@@ -25,13 +23,11 @@ from repro.shard.router import ShardRouter, routing_digest
 from repro.shard.worker import ShardConfig
 
 __all__ = [
-    "MatrixHandle",
     "SharedMemoryArena",
     "ShardConfig",
     "ShardRouter",
     "ShardedPlanner",
     "SnapshotHandle",
-    "attach_matrix",
     "attach_snapshot",
     "routing_digest",
 ]

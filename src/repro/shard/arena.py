@@ -1,15 +1,15 @@
-"""Shared-memory arena for immutable CSR payloads.
+"""Shared-memory arena for immutable graph snapshots.
 
-The parent process *puts* snapshots and sparse matrices into named
+The parent process *puts* snapshots into named
 ``multiprocessing.shared_memory`` segments and ships only the small
 picklable handles across process boundaries; workers *attach* to the
-named segment and build zero-copy views.  The contract:
+named segment and rebuild the snapshot.  The contract:
 
 - **Ownership.**  Only the arena (parent side) ever ``unlink``s a
   segment.  Workers attach and close; a killed worker therefore leaks
   nothing — the kernel reclaims its mapping and the parent's
   ``close()`` unlinks the name.
-- **Refcounts.**  ``put_*`` increments, ``release`` decrements, the
+- **Refcounts.**  ``put_snapshot`` increments, ``release`` decrements, the
   segment is unlinked when the count reaches zero.  ``close()`` unlinks
   everything still live and is idempotent (double-close is a no-op).
 - **Determinism.**  Snapshot segments store the *sorted* edge list, so
@@ -20,8 +20,9 @@ named segment and build zero-copy views.  The contract:
 - **Crash safety net.**  Segments created here are registered with the
   CPython ``resource_tracker``, so even if the parent dies without
   calling ``close()`` the tracker unlinks them at interpreter shutdown.
-  Attach-side handles are *unregistered* from the tracker (the attacher
-  is not the owner).
+  Attach-side handles stay registered too: spawned workers share the
+  parent's tracker, where the second registration is a no-op, and
+  unregistering would drop the owner's entry (see ``_attach_segment``).
 """
 
 from __future__ import annotations
@@ -34,11 +35,8 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from repro.graphs.snapshot import GraphSnapshot
-from repro.sparse.csr import SparseMatrix
 
 _INT = np.int64
-_FLOAT = np.float64
-_ITEM = 8  # both dtypes are 8-byte; offsets below stay 8-aligned
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,26 +49,12 @@ class SnapshotHandle:
     edge_count: int
 
 
-@dataclasses.dataclass(frozen=True)
-class MatrixHandle:
-    """Picklable pointer to a CSR matrix laid out in one segment.
-
-    Layout: ``indptr`` (``n + 1`` int64) then ``indices`` (``nnz`` int64)
-    then ``data`` (``nnz`` float64), back to back.
-    """
-
-    segment: str
-    n: int
-    nnz: int
-
-
 class SharedMemoryArena:
     """Parent-side owner of shared-memory segments.
 
     Snapshots are deduplicated by content (``GraphSnapshot`` equality is
     content-based), so putting the same graph twice returns the same
-    handle with a bumped refcount.  Matrices are not deduplicated —
-    each ``put_matrix`` creates a fresh segment.
+    handle with a bumped refcount.
     """
 
     def __init__(self) -> None:
@@ -94,7 +78,7 @@ class SharedMemoryArena:
         edges = np.array(sorted(snapshot.edges), dtype=_INT).reshape(-1, 2)
         shm = shared_memory.SharedMemory(create=True, size=max(1, edges.nbytes))
         if edges.size:
-            self._copy_into(shm, 0, edges.reshape(-1))
+            self._copy_into(shm, edges.reshape(-1))
         handle = SnapshotHandle(
             segment=shm.name,
             n=snapshot.n,
@@ -106,32 +90,11 @@ class SharedMemoryArena:
         self._snapshot_handles[snapshot] = handle
         return handle
 
-    def put_matrix(self, matrix: SparseMatrix) -> MatrixHandle:
-        """Place a matrix's CSR arrays in one shared segment."""
-        self._check_open()
-        indptr, indices, data = matrix.csr_arrays()
-        n = matrix.n
-        nnz = int(indices.shape[0])
-        size = (n + 1) * _ITEM + 2 * nnz * _ITEM
-        shm = shared_memory.SharedMemory(create=True, size=max(1, size))
-        self._copy_into(shm, 0, np.ascontiguousarray(indptr, dtype=_INT))
-        if nnz:
-            self._copy_into(
-                shm, (n + 1) * _ITEM, np.ascontiguousarray(indices, dtype=_INT)
-            )
-            self._copy_into(
-                shm, (n + 1 + nnz) * _ITEM, np.ascontiguousarray(data, dtype=_FLOAT)
-            )
-        handle = MatrixHandle(segment=shm.name, n=n, nnz=nnz)
-        self._segments[shm.name] = shm
-        self._refcounts[shm.name] = 1
-        return handle
-
     @staticmethod
-    def _copy_into(shm: shared_memory.SharedMemory, offset: int, array: np.ndarray) -> None:
+    def _copy_into(shm: shared_memory.SharedMemory, array: np.ndarray) -> None:
         # The temporary view exports a pointer into the segment buffer;
         # it must be dropped before close() or close() raises BufferError.
-        view = np.frombuffer(shm.buf, dtype=array.dtype, count=array.size, offset=offset)
+        view = np.frombuffer(shm.buf, dtype=array.dtype, count=array.size)
         view[:] = array
         del view
 
@@ -229,26 +192,6 @@ def attach_snapshot(
         edges = []
     snapshot = GraphSnapshot(handle.n, edges, directed=handle.directed)
     return snapshot, shm
-
-
-def attach_matrix(
-    handle: MatrixHandle,
-) -> Tuple[SparseMatrix, shared_memory.SharedMemory]:
-    """Zero-copy ``SparseMatrix`` view over the shared segment.
-
-    The returned matrix's CSR arrays alias the segment buffer (read-only
-    — writes raise).  The caller must keep the returned segment open for
-    the matrix's lifetime and drop every array view before closing it.
-    """
-    shm = _attach_segment(handle.segment)
-    n, nnz = handle.n, handle.nnz
-    indptr = np.frombuffer(shm.buf, dtype=_INT, count=n + 1)
-    indices = np.frombuffer(shm.buf, dtype=_INT, count=nnz, offset=(n + 1) * _ITEM)
-    data = np.frombuffer(
-        shm.buf, dtype=_FLOAT, count=nnz, offset=(n + 1 + nnz) * _ITEM
-    )
-    matrix = SparseMatrix._from_csr(n, indptr, indices, data)
-    return matrix, shm
 
 
 def leaked_segments(names) -> Tuple[str, ...]:

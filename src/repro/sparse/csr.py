@@ -27,7 +27,7 @@ column within each row.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -531,24 +531,3 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix(n={self._n}, nnz={self.nnz})"
-
-
-def column_normalized_adjacency(
-    n: int, edges: Iterable[Tuple[int, int]]
-) -> SparseMatrix:
-    """Build the column-normalized adjacency matrix ``W`` used by PR/RWR/PPR.
-
-    For an edge ``(i, j)`` (from node ``i`` to node ``j``) the matrix gets
-    ``W[j, i] = 1 / out_degree(i)``, matching footnote 1 of the paper.
-    Dangling nodes (out-degree zero) contribute an empty column.
-    """
-    edge_array = np.array([(int(i), int(j)) for i, j in edges], dtype=np.int64)
-    if edge_array.size == 0:
-        return SparseMatrix.zeros(n)
-    sources = edge_array[:, 0]
-    targets = edge_array[:, 1]
-    _check_bounds(n, sources, targets)
-    out_degree = np.bincount(sources, minlength=n)
-    return SparseMatrix.from_coo(
-        n, targets, sources, 1.0 / out_degree[sources].astype(np.float64)
-    )

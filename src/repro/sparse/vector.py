@@ -37,31 +37,10 @@ def seed_vector(n: int, seeds: Iterable[int], total: float = 1.0) -> np.ndarray:
     return vector
 
 
-def sparse_to_dense(n: int, entries: Dict[int, float]) -> np.ndarray:
-    """Expand a ``{index: value}`` mapping into a dense length-``n`` vector."""
-    vector = np.zeros(n, dtype=float)
-    for index, value in entries.items():
-        if not 0 <= index < n:
-            raise DimensionError(f"index {index} out of bounds for a length-{n} vector")
-        vector[index] = value
-    return vector
-
-
 def dense_to_sparse(vector: Sequence[float], tolerance: float = 0.0) -> Dict[int, float]:
     """Collect the entries of ``vector`` whose magnitude exceeds ``tolerance``."""
     array = np.asarray(vector, dtype=float)
     return {int(i): float(v) for i, v in enumerate(array) if abs(v) > tolerance}
-
-
-def residual_norm(matvec_result: Sequence[float], b: Sequence[float]) -> float:
-    """Return the infinity norm of ``A x - b`` given a precomputed ``A x``."""
-    ax = np.asarray(matvec_result, dtype=float)
-    rhs = np.asarray(b, dtype=float)
-    if ax.shape != rhs.shape:
-        raise DimensionError(f"shape mismatch: {ax.shape} vs {rhs.shape}")
-    if ax.size == 0:
-        return 0.0
-    return float(np.max(np.abs(ax - rhs)))
 
 
 def top_k(vector: Sequence[float], k: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """Persistent factor store: a disk tier under the in-memory factor cache.
 
-Every :class:`~repro.query.planner.FactorCache` is per-process, so a restart
+Every :class:`~repro.query.cache.FactorCache` is per-process, so a restart
 of the serving stack used to be a cold fleet — the whole economy of the
 paper (factorize once, refresh by Bennett deltas, reuse under QC bounds) was
 rebuilt from scratch on every boot.  This package adds the missing tier:

@@ -49,6 +49,33 @@ def perturb_matrix(
     return SparseMatrix.from_dense(dense)
 
 
+def random_snapshot(rng: np.random.Generator, n: int, edges: int) -> GraphSnapshot:
+    """Return a directed snapshot on ``n`` nodes with ``edges`` random edges."""
+    pool = set()
+    while len(pool) < edges:
+        u, v = rng.integers(0, n, size=2)
+        if u != v:
+            pool.add((int(u), int(v)))
+    return GraphSnapshot(n, pool, directed=True)
+
+
+def evolve(
+    rng: np.random.Generator, snapshot: GraphSnapshot, additions: int, removals: int
+) -> GraphSnapshot:
+    """Return ``snapshot`` with ``removals`` random edges dropped and
+    ``additions`` new random edges added."""
+    existing = sorted(snapshot.edges)
+    removed = set()
+    for _ in range(min(removals, len(existing) - 1)):
+        removed.add(existing[int(rng.integers(0, len(existing)))])
+    added = set()
+    while len(added) < additions:
+        u, v = rng.integers(0, snapshot.n, size=2)
+        if u != v and (int(u), int(v)) not in snapshot.edges:
+            added.add((int(u), int(v)))
+    return snapshot.with_edges(added=added, removed=removed)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for tests."""

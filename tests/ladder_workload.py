@@ -24,7 +24,7 @@ from repro.graphs.generators import SyntheticEGSConfig, generate_synthetic_egs
 from repro.graphs.snapshot import GraphSnapshot
 from repro.policy import CorrectedPolicy, QCPolicy
 from repro.query import QueryBatch, QueryPlanner
-from repro.query.planner import FactorCache
+from repro.query.cache import FactorCache
 
 GOLDEN_RELPATH = "data/ladder_golden.json"
 

@@ -13,7 +13,7 @@ from repro.core.inc import decompose_sequence_inc
 from repro.core.quality import MarkowitzReference
 from repro.errors import EmptySequenceError
 from repro.lu.symbolic import reorder_pattern, symbolic_decomposition
-from repro.lu.validate import factors_are_valid
+from tests.lu_oracles import factors_are_valid
 
 
 ALGORITHMS = {

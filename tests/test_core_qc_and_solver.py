@@ -10,7 +10,7 @@ from repro.core.qc import solve_qc_cinc, solve_qc_clude
 from repro.core.quality import MarkowitzReference
 from repro.core.solver import ALGORITHMS, EMSSolver, available_algorithms
 from repro.errors import ClusteringError, MeasureError, NotSymmetricError
-from repro.lu.validate import factors_are_valid
+from tests.lu_oracles import factors_are_valid
 
 
 class TestProblemDefinitions:

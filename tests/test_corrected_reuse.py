@@ -43,7 +43,6 @@ from repro.graphs.matrixkind import (
     measure_matrix,
     system_delta,
 )
-from repro.graphs.snapshot import GraphSnapshot
 from repro.lu import (
     WoodburyCorrector,
     crout_decompose,
@@ -53,11 +52,12 @@ from repro.lu import (
 from repro.policy import CorrectedPolicy, CorrectionDecision, QCPolicy
 from repro.policy.qc import ranked_update_columns
 from repro.query import QueryBatch, QueryPlanner
-from repro.query.planner import ApproximationRecord
 from repro.query import spec as spec_module
+from repro.query.resolution import ApproximationRecord
 from repro.query.spec import MeasureSpec, get_spec, make_query
 from repro.serve.stats import StatsCollector
 from repro.sparse.csr import SparseMatrix
+from tests.conftest import evolve, random_snapshot
 
 #: Deviation-vs-bound comparisons allow this relative slack: the
 #: cross-damping certificate is *exactly attained* in real arithmetic on
@@ -65,30 +65,6 @@ from repro.sparse.csr import SparseMatrix
 #: roundoff; full-rank corrections certify 0.0 against ~1e-15 float noise.
 SLACK = 1e-9
 ABS_SLACK = 1e-12
-
-
-def random_snapshot(rng: np.random.Generator, n: int, edges: int) -> GraphSnapshot:
-    pool = set()
-    while len(pool) < edges:
-        u, v = rng.integers(0, n, size=2)
-        if u != v:
-            pool.add((int(u), int(v)))
-    return GraphSnapshot(n, pool, directed=True)
-
-
-def evolve(
-    rng: np.random.Generator, snapshot: GraphSnapshot, additions: int, removals: int
-) -> GraphSnapshot:
-    existing = sorted(snapshot.edges)
-    removed = set()
-    for _ in range(min(removals, len(existing) - 1)):
-        removed.add(existing[int(rng.integers(0, len(existing)))])
-    added = set()
-    while len(added) < additions:
-        u, v = rng.integers(0, snapshot.n, size=2)
-        if u != v and (int(u), int(v)) not in snapshot.edges:
-            added.add((int(u), int(v)))
-    return snapshot.with_edges(added=added, removed=removed)
 
 
 def relative_l1_deviation(approx: np.ndarray, truth: np.ndarray) -> float:

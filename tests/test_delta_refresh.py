@@ -583,9 +583,9 @@ class TestPlannerRefresh:
             assert np.max(np.abs(answer - reference)) < TOLERANCE
 
     def test_lineage_with_missing_parent_counts_fallback(self):
-        # Lineage registered but the parent system was never cached (or was
-        # evicted): the group cold-factorizes AND the fallback is counted,
-        # like a refresh whose parent is missing at prepare time.
+        # Lineage registered but the parent system was never cached: the
+        # group cold-factorizes AND the fallback is counted, like a refresh
+        # whose parent is missing at prepare time.
         before, after = _evolved_pair(seed=24)
         planner = QueryPlanner()
         planner.register_evolution(before, after)

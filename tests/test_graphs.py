@@ -8,7 +8,7 @@ import pytest
 from repro.errors import DatasetError, DimensionError, EmptySequenceError, MeasureError
 from repro.graphs.delta import GraphDelta, touched_nodes
 from repro.graphs.egs import EvolvingGraphSequence
-from repro.graphs.ems import EvolvingMatrixSequence, ems_from_graphs
+from repro.graphs.ems import EvolvingMatrixSequence
 from repro.graphs.generators import (
     SyntheticEGSConfig,
     barabasi_albert_edges,
@@ -202,7 +202,7 @@ class TestEvolvingMatrixSequence:
 
     def test_ems_from_graphs_with_limit(self):
         egs = growing_egs(nodes=20, snapshots=6, initial_edges=30, edges_per_step=4)
-        ems = ems_from_graphs(egs, limit=3)
+        ems = EvolvingMatrixSequence.from_graphs(egs.subsequence(0, 3))
         assert len(ems) == 3
 
 

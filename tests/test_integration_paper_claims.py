@@ -23,7 +23,7 @@ from repro.core.quality import MarkowitzReference
 from repro.datasets.registry import load_dblp, load_wiki
 from repro.graphs.ems import EvolvingMatrixSequence
 from repro.graphs.matrixkind import MatrixKind
-from repro.lu.validate import factors_are_valid
+from tests.lu_oracles import factors_are_valid
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PatternError, SingularMatrixError
-from repro.lu.crout import crout_decompose, crout_decompose_dense, crout_decompose_into
+from repro.lu.crout import crout_decompose, crout_decompose_into
 from repro.lu.factors import LUFactors
 from repro.lu.symbolic import symbolic_decomposition
 from repro.sparse.csr import SparseMatrix
 from tests.conftest import random_dd_matrix
+from tests.lu_oracles import crout_decompose_dense
 
 
 class TestDenseReference:

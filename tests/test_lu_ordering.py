@@ -11,13 +11,13 @@ from repro.errors import NotSymmetricError, OrderingError
 from repro.lu.markowitz import markowitz_ordering
 from repro.lu.mindegree import (
     minimum_degree_ordering,
-    symmetric_markowitz_reference,
     symmetric_symbolic_size,
 )
 from repro.lu.symbolic import reorder_pattern, symbolic_decomposition
 from repro.sparse.csr import SparseMatrix
 from repro.sparse.pattern import SparsityPattern
 from tests.conftest import random_dd_matrix
+from tests.lu_oracles import symmetric_markowitz_reference
 
 
 def star_matrix(n, centre_first=True):

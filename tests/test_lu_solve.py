@@ -17,9 +17,9 @@ from repro.lu.solve import (
     solve_factored,
     solve_reordered_system,
 )
-from repro.lu.validate import factors_are_valid, reconstruction_error, solve_residual
 from repro.sparse.csr import SparseMatrix
 from tests.conftest import random_dd_matrix
+from tests.lu_oracles import factors_are_valid, reconstruction_error, solve_residual
 
 
 class TestTriangularSolves:

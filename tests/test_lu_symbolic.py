@@ -11,7 +11,6 @@ from repro.lu.crout import crout_decompose
 from repro.lu.symbolic import (
     fill_in_count,
     fill_in_pattern,
-    fill_in_pattern_reference,
     intersection_pattern,
     reorder_pattern,
     symbolic_decomposition,
@@ -20,6 +19,7 @@ from repro.lu.symbolic import (
 )
 from repro.sparse.pattern import SparsityPattern
 from tests.conftest import random_dd_matrix
+from tests.lu_oracles import fill_in_pattern_reference
 
 
 def chain_pattern(n):

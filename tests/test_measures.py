@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasureError
+from repro.graphs.egs import EvolvingGraphSequence
 from repro.graphs.generators import growing_egs
 from repro.graphs.snapshot import GraphSnapshot
 from repro.measures.base import SnapshotMeasureSolver, normalize_distribution, rank_of
-from repro.measures.hitting_time import discounted_hitting_proximity, discounted_hitting_scores
+from repro.measures.hitting_time import discounted_hitting_scores
 from repro.measures.monte_carlo import rwr_monte_carlo
 from repro.measures.pagerank import pagerank_rhs, pagerank_scores, pagerank_series
 from repro.measures.power_iteration import power_iteration_solve, rwr_power_iteration
-from repro.measures.ppr import ppr_group_proximity, ppr_scores
-from repro.measures.rwr import rwr_proximity, rwr_scores
+from repro.measures.ppr import ppr_scores
+from repro.measures.rwr import rwr_scores
 from repro.measures.salsa import salsa_scores
 from repro.measures.timeseries import MeasureSeries
 
@@ -91,7 +92,8 @@ class TestRWRandPPR:
 
     def test_rwr_proximity_direct_neighbour_higher(self, tiny_graph):
         # Node 1 is a direct successor of 0; node 3 is two hops away.
-        assert rwr_proximity(tiny_graph, 0, 1) > rwr_proximity(tiny_graph, 0, 3)
+        scores = rwr_scores(tiny_graph, 0)
+        assert scores[1] > scores[3]
 
     def test_ppr_reduces_to_rwr_for_single_seed(self, tiny_graph):
         assert np.allclose(
@@ -99,9 +101,11 @@ class TestRWRandPPR:
         )
 
     def test_ppr_group_proximity(self, tiny_graph):
-        value = ppr_group_proximity(tiny_graph, seeds=[0, 1], targets=[2, 3])
+        # The case study's aggregate: the summed PPR scores of a target group.
+        series = MeasureSeries(EvolvingGraphSequence([tiny_graph]))
+        proximity = series.group_proximity_series(seeds=[0, 1], groups=[[2, 3]])
         scores = ppr_scores(tiny_graph, [0, 1])
-        assert value == pytest.approx(float(scores[2] + scores[3]))
+        assert proximity[0, 0] == pytest.approx(float(scores[2] + scores[3]))
 
     def test_monte_carlo_correlates_with_exact(self, tiny_graph):
         exact = rwr_scores(tiny_graph, start_node=0)
@@ -167,7 +171,6 @@ class TestSALSAandDHT:
         graph = GraphSnapshot(3, [(0, 1)])
         scores = discounted_hitting_scores(graph, target=2)
         assert scores[0] == pytest.approx(0.0)
-        assert discounted_hitting_proximity(graph, 0, 2, scores=scores) == pytest.approx(0.0)
 
     def test_dht_invalid_target(self, tiny_graph):
         with pytest.raises(MeasureError):

@@ -52,30 +52,7 @@ from repro.policy import CorrectionDecision, ExactPolicy, QCPolicy
 from repro.query import QueryBatch, QueryPlanner
 from repro.query.resolution import CandidateScan, ResolutionContext
 from repro.sparse.pattern import SparsityPattern, matrix_edit_similarity
-
-
-def random_snapshot(rng: np.random.Generator, n: int, edges: int) -> GraphSnapshot:
-    pool = set()
-    while len(pool) < edges:
-        u, v = rng.integers(0, n, size=2)
-        if u != v:
-            pool.add((int(u), int(v)))
-    return GraphSnapshot(n, pool, directed=True)
-
-
-def evolve(
-    rng: np.random.Generator, snapshot: GraphSnapshot, additions: int, removals: int
-) -> GraphSnapshot:
-    existing = sorted(snapshot.edges)
-    removed = set()
-    for _ in range(min(removals, len(existing) - 1)):
-        removed.add(existing[int(rng.integers(0, len(existing)))])
-    added = set()
-    while len(added) < additions:
-        u, v = rng.integers(0, snapshot.n, size=2)
-        if u != v and (int(u), int(v)) not in snapshot.edges:
-            added.add((int(u), int(v)))
-    return snapshot.with_edges(added=added, removed=removed)
+from tests.conftest import evolve, random_snapshot
 
 
 def gate(policy, before, after, kind=MatrixKind.RANDOM_WALK, damping=0.85):

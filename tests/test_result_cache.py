@@ -110,7 +110,7 @@ class TestResultReuse:
 
     def test_bool_result_cache_means_default_or_disabled(self):
         # bools are ints: True must not build a degenerate 1-entry cache.
-        from repro.query.planner import DEFAULT_RESULT_CACHE_SIZE
+        from repro.query.cache import DEFAULT_RESULT_CACHE_SIZE
 
         enabled = QueryPlanner(result_cache=True)
         assert enabled.result_cache is not None

@@ -1,4 +1,4 @@
-"""Shared-memory arena lifecycle: refcounts, closes, crashes, zero-copy."""
+"""Shared-memory arena lifecycle: refcounts, closes, attaches, crashes."""
 
 from __future__ import annotations
 
@@ -6,14 +6,11 @@ import multiprocessing
 import os
 import time
 
-import numpy as np
 import pytest
 
-from repro.graphs.matrixkind import MatrixKind, measure_matrix
 from repro.graphs.snapshot import GraphSnapshot
 from repro.shard.arena import (
     SharedMemoryArena,
-    attach_matrix,
     attach_snapshot,
     leaked_segments,
 )
@@ -56,9 +53,8 @@ def test_release_past_zero_and_unknown_handle_are_noops():
 
 def test_close_unlinks_everything_and_double_close_is_noop():
     arena = SharedMemoryArena()
-    handles = [arena.put_snapshot(_snapshot(seed)) for seed in range(3)]
-    matrix = measure_matrix(_snapshot(), MatrixKind.RANDOM_WALK, 0.85)
-    handles.append(arena.put_matrix(matrix))
+    for seed in range(4):
+        arena.put_snapshot(_snapshot(seed))
     names = arena.segment_names()
     assert len(names) == 4
     arena.close()
@@ -77,7 +73,7 @@ def test_context_manager_closes():
 
 
 # --------------------------------------------------------------------- #
-# Attach fidelity and zero-copy
+# Attach fidelity
 # --------------------------------------------------------------------- #
 def test_attach_snapshot_reconstructs_equal_graph():
     arena = SharedMemoryArena()
@@ -88,49 +84,6 @@ def test_attach_snapshot_reconstructs_equal_graph():
         assert rebuilt == snapshot
         assert rebuilt.directed == snapshot.directed
         shm.close()
-    arena.close()
-
-
-def test_attach_matrix_is_zero_copy_and_read_only():
-    arena = SharedMemoryArena()
-    matrix = measure_matrix(_snapshot(), MatrixKind.RANDOM_WALK, 0.85)
-    handle = arena.put_matrix(matrix)
-    view, shm = attach_matrix(handle)
-
-    ref_indptr, ref_indices, ref_data = matrix.csr_arrays()
-    indptr, indices, data = view.csr_arrays()
-    np.testing.assert_array_equal(indptr, ref_indptr)
-    np.testing.assert_array_equal(indices, ref_indices)
-    assert data.tobytes() == ref_data.tobytes()
-
-    # Zero-copy: the view's arrays alias the shared segment buffer.
-    segment = np.frombuffer(shm.buf, dtype=np.uint8)
-    assert np.shares_memory(data, segment)
-    assert np.shares_memory(indptr, segment)
-    # Writes are rejected — the segment is an immutable publication.
-    with pytest.raises(ValueError):
-        data[0] = 123.0
-    del indptr, indices, data, segment, view
-    import gc
-
-    gc.collect()
-    shm.close()
-    arena.close()
-
-
-def test_matrix_roundtrip_solves_bitwise_identically():
-    snapshot = _snapshot()
-    matrix = measure_matrix(snapshot, MatrixKind.SYMMETRIC_WALK, 0.7)
-    arena = SharedMemoryArena()
-    handle = arena.put_matrix(matrix)
-    view, shm = attach_matrix(handle)
-    x = np.linspace(-1.0, 1.0, matrix.n)
-    assert matrix.matvec(x).tobytes() == view.matvec(x).tobytes()
-    del view
-    import gc
-
-    gc.collect()
-    shm.close()
     arena.close()
 
 

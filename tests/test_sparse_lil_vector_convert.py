@@ -1,4 +1,4 @@
-"""Tests for the factor adjacency lists, vector helpers and format conversions."""
+"""Tests for the factor adjacency lists and the vector helpers."""
 
 from __future__ import annotations
 
@@ -8,12 +8,9 @@ import pytest
 from repro.errors import DimensionError
 from repro.lu.crout import crout_decompose
 from repro.lu.factors import LUFactors
-from repro.sparse.csr import SparseMatrix
 from repro.sparse.vector import (
     dense_to_sparse,
-    residual_norm,
     seed_vector,
-    sparse_to_dense,
     top_k,
     unit_vector,
 )
@@ -106,13 +103,9 @@ class TestVectorHelpers:
 
     def test_sparse_dense_round_trip(self):
         sparse = {1: 2.0, 3: -1.0}
-        dense = sparse_to_dense(5, sparse)
+        dense = np.zeros(5)
+        dense[list(sparse)] = list(sparse.values())
         assert dense_to_sparse(dense) == sparse
-
-    def test_residual_norm(self):
-        assert residual_norm([1.0, 2.0], [1.0, 2.5]) == pytest.approx(0.5)
-        with pytest.raises(DimensionError):
-            residual_norm([1.0], [1.0, 2.0])
 
     def test_top_k(self):
         indices, values = top_k([0.1, 0.9, 0.5], 2)
@@ -121,22 +114,3 @@ class TestVectorHelpers:
         empty_indices, _ = top_k([0.1], 0)
         assert empty_indices.size == 0
 
-
-class TestConversions:
-    def test_scipy_round_trip(self, rng):
-        pytest.importorskip("scipy.sparse")
-        from repro.sparse.convert import from_scipy, to_scipy
-
-        matrix = random_dd_matrix(8, 24, rng)
-        converted = from_scipy(to_scipy(matrix))
-        assert converted.allclose(matrix)
-
-    def test_networkx_round_trip(self):
-        nx = pytest.importorskip("networkx")
-        from repro.sparse.convert import from_networkx, to_networkx
-
-        matrix = SparseMatrix(3, {(0, 1): 2.0, (1, 2): 1.0, (2, 0): 4.0})
-        graph = to_networkx(matrix, directed=True)
-        assert isinstance(graph, nx.DiGraph)
-        rebuilt = from_networkx(graph, nodelist=range(3))
-        assert rebuilt.allclose(matrix)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DimensionError
-from repro.sparse.csr import SparseMatrix, column_normalized_adjacency
+from repro.sparse.csr import SparseMatrix
 from tests.conftest import random_dd_matrix
 
 
@@ -148,23 +148,6 @@ class TestPermuted:
     def test_permuted_length_mismatch(self):
         with pytest.raises(DimensionError):
             SparseMatrix.identity(3).permuted([0, 1], [0, 1, 2])
-
-
-class TestColumnNormalizedAdjacency:
-    def test_columns_sum_to_one(self):
-        edges = [(0, 1), (0, 2), (1, 2), (2, 0)]
-        w = column_normalized_adjacency(3, edges)
-        dense = w.to_dense()
-        for node in range(3):
-            assert np.isclose(dense[:, node].sum(), 1.0)
-
-    def test_dangling_node_has_empty_column(self):
-        w = column_normalized_adjacency(3, [(0, 1)])
-        assert np.allclose(w.to_dense()[:, 2], 0.0)
-
-    def test_out_of_bounds_edge(self):
-        with pytest.raises(DimensionError):
-            column_normalized_adjacency(2, [(0, 2)])
 
 
 class TestExactZeroDropping:
