@@ -12,10 +12,14 @@ an in-file baseline and measures the vectorized CSR kernels against it:
   sweeps at k = 1, 4, 16, 64 on an ``n = 400`` RWR system, with the sweep the
   width rule selects, plus a one-hot k = 1 and a two-seed k = 4 block shaped
   like the RWR/PPR queries' right-hand sides, where the narrow forward sweep
-  skips the columns of ``L`` whose ``x[j]`` is zero.  The two sweeps must
-  agree bitwise on every block, and that system's Crout factors must be
-  bitwise the same whether ``s̃p`` comes from the Markowitz elimination
-  (``pattern=``) or a separate symbolic pass,
+  skips the columns of ``L`` whose ``x[j]`` is zero.  Both sweeps run
+  through the factors' sweep plan and must agree bitwise on every block,
+  on a fresh container (the first solve builds the plan) and on the built
+  plan.  The Markowitz elimination's rows must equal a separate symbolic
+  pass's, and that system's Crout factors must be bitwise the same whether
+  ``s̃p`` comes from the Markowitz elimination (``pattern=``) or the
+  symbolic pass.  At k = 1 (one-hot) the first solve of a fresh container,
+  plan build included, and the steady per-column time are printed,
 * Figure 8(b) in small: the Bennett time of one α = 0.95 cluster of the
   ``ludem_wiki`` wiki sequence (300 pages, seed 3), replayed through CLUDE's
   sealed USSP structure and through CINC's growable factors in the first
@@ -47,6 +51,7 @@ from repro.graphs.snapshot import GraphSnapshot
 from repro.lu.crout import crout_decompose
 from repro.lu.markowitz import markowitz_ordering
 from repro.lu.solve import solve_factored, solve_factored_many
+from repro.lu.symbolic import symbolic_decomposition
 from repro.sparse.csr import SparseMatrix
 from repro.sparse.kernels import narrow_sweep, wide_sweep
 
@@ -190,16 +195,26 @@ def _seeded_block(n: int, k: int, seeds: int, rng: np.random.Generator) -> np.nd
     return block
 
 
+def _first_solve(factors, block) -> float:
+    """Seconds of one solve on a fresh copy of ``factors`` (plan build included)."""
+    fresh = factors.copy()
+    start = time.perf_counter()
+    fresh.solve_many(block)
+    return time.perf_counter() - start
+
+
 def measure_sweeps() -> List[Dict[str, object]]:
     """Time both sweeps on dense blocks at ``SWEEP_WIDTHS``, then on ``SPARSE_SWEEPS``."""
     matrix = _rwr_system(SWEEP_N, seed=3)
     ordering, pattern = markowitz_ordering(matrix)
     reordered = ordering.apply(matrix)
     factors = crout_decompose(reordered, pattern=pattern)
-    # Deterministic gate: Crout gives the same bits whether s̃p comes from the
-    # Markowitz elimination or from a separate symbolic pass.
-    assert _bits(factors) == _bits(crout_decompose(reordered))
-    storage = factors.sweep_storage()
+    # Deterministic gates: the Markowitz elimination's rows are a separate
+    # symbolic pass's, and Crout gives the same bits from either.
+    symbolic = symbolic_decomposition(reordered.pattern())
+    assert pattern.row_lists() == symbolic.row_lists()
+    assert _bits(factors) == _bits(crout_decompose(reordered, pattern=symbolic))
+    plan = factors.sweep_plan()
     blocks = [("dense", np.random.default_rng(k).random((SWEEP_N, k))) for k in SWEEP_WIDTHS]
     blocks += [
         (label, _seeded_block(SWEEP_N, k, seeds, np.random.default_rng(k)))
@@ -208,15 +223,25 @@ def measure_sweeps() -> List[Dict[str, object]]:
     rows = []
     for label, block in blocks:
         k = block.shape[1]
-        # Deterministic gate: both sweeps give the same bits on every block.
-        assert narrow_sweep(factors, block).tobytes() == wide_sweep(factors, block).tobytes()
-        rows.append({
+        # Deterministic gate: both sweeps give the same bits on every block,
+        # through a plan built by the first solve and through the built plan.
+        first = narrow_sweep(factors.copy(), block).tobytes()
+        assert first == wide_sweep(factors.copy(), block).tobytes()
+        assert first == narrow_sweep(factors, block).tobytes()
+        assert first == wide_sweep(factors, block).tobytes()
+        row = {
             "rhs": label,
             "k": float(k),
             "narrow_ms": _best_of(SWEEP_REPS, narrow_sweep, factors, block) * 1e3,
             "wide_ms": _best_of(SWEEP_REPS, wide_sweep, factors, block) * 1e3,
-            "selects_narrow": float(storage.is_narrow(k)),
-        })
+            "selects_narrow": float(plan.is_narrow(k)),
+        }
+        if label == "one-hot":
+            row["first_ms"] = min(
+                _first_solve(factors, block) for _ in range(SWEEP_REPS)
+            ) * 1e3
+            row["steady_ms"] = _best_of(SWEEP_REPS, factors.solve_many, block) * 1e3
+        rows.append(row)
     return rows
 
 
@@ -274,6 +299,11 @@ def _report(
             f"narrow {row['narrow_ms']:.3f} ms, "
             f"wide {row['wide_ms']:.3f} ms (selects {picked}; bitwise equal)"
         )
+        if "first_ms" in row:
+            print(
+                f"solve_many n={SWEEP_N} k=1 {row['rhs']}: first solve {row['first_ms']:.3f} ms "
+                f"(plan build included), steady {row['steady_ms']:.3f} ms per column"
+            )
     print(
         f"fig08b     {int(fig08b['members'])} members, median of {FIG08B_REPEATS}: "
         f"growable (CINC) {fig08b['growable_ms']:.1f} ms, "

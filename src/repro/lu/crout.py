@@ -12,12 +12,17 @@ The decomposition follows the two-phase split of Section 2.3 of the paper:
 
 * SD-phase — ``s̃p(A)`` bounds all positions the factors can occupy.  For a
   Markowitz order it comes from the ordering's own elimination
-  (:func:`~repro.lu.markowitz.markowitz_ordering` returns it) and is passed in
-  as ``pattern``; for any other order
+  (:func:`~repro.lu.markowitz.markowitz_ordering` returns it as sorted rows)
+  and is passed in as ``pattern``; for any other order
   :func:`~repro.lu.symbolic.symbolic_decomposition` computes it here;
 * ND-phase — numeric values are computed row by row and written into an
   :class:`~repro.lu.factors.LUFactors` container (growable, or CLUDE's sealed
-  USSP structure).
+  USSP structure).  Row ``i`` reads the pattern's sorted columns
+  (:meth:`~repro.sparse.pattern.SparsityPattern.row_lists`) and eliminates
+  with each finished ``U`` row kept as ``(column, value)`` pairs.
+
+Crout writes the container through ``sweep_storage()``, which drops any
+sweep plan the container held.
 """
 
 from __future__ import annotations
@@ -98,23 +103,16 @@ def crout_decompose_into(
         raise PatternError("a growable destination for Crout must be empty")
     if pattern is None:
         pattern = symbolic_decomposition(matrix.pattern())
-
-    # row_columns[i]: row i's pattern columns plus the diagonal, ascending.
-    row_columns: List[List[int]] = [[] for _ in range(n)]
-    for i, j in pattern:
-        row_columns[i].append(j)
-    for i, columns in enumerate(row_columns):
-        if (i, i) not in pattern:
-            columns.append(i)
-        columns.sort()
+    # row_columns[i]: row i's pattern columns, ascending (the pattern's own
+    # lists, only read here; Markowitz emits them directly).
+    row_columns = pattern.row_lists()
 
     indptr = matrix.indptr.tolist()
     stored_columns = matrix.indices.tolist()
     stored_values = matrix.data.tolist()
-    # upper_cols[k] / upper_values[k]: row k of U for elimination — every
-    # pattern position right of the diagonal, zeros included.
-    upper_cols: List[List[int]] = [[] for _ in range(n)]
-    upper_values: List[List[float]] = [[] for _ in range(n)]
+    # upper_rows[k]: row k of U for elimination as (column, value) pairs —
+    # every pattern position right of the diagonal, zeros included.
+    upper_rows: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
 
     # The working row, dense: pattern positions hold floats, every other
     # position None, so an update outside the pattern raises TypeError.
@@ -122,6 +120,8 @@ def crout_decompose_into(
     for i in range(n):
         columns = row_columns[i]
         diagonal = bisect_left(columns, i)
+        if diagonal == len(columns) or columns[diagonal] != i:
+            columns = [*columns[:diagonal], i, *columns[diagonal:]]
         for j in columns:
             work[j] = 0.0
         start, end = indptr[i], indptr[i + 1]
@@ -133,7 +133,7 @@ def crout_decompose_into(
                 l_ik = work[k]
                 if l_ik == 0.0:
                     continue
-                for j, u_kj in zip(upper_cols[k], upper_values[k]):
+                for j, u_kj in upper_rows[k]:
                     work[j] -= l_ik * u_kj
         except TypeError:
             raise PatternError(
@@ -147,8 +147,7 @@ def crout_decompose_into(
             raise SingularMatrixError(i, pivot)
         row_cols = columns[diagonal + 1:]
         row_values = [value / pivot for value in values[diagonal + 1:]]
-        upper_cols[i] = row_cols
-        upper_values[i] = row_values
+        upper_rows[i] = list(zip(row_cols, row_values))
 
         pivots[i] = pivot
         lower = values[:diagonal]

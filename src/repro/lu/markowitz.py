@@ -11,7 +11,13 @@ That elimination *is* the SD-phase of Section 2.3: the pivot's remaining row
 is U's row and its remaining column is L's column of ``s̃p(A^O)``.  So
 :func:`markowitz_ordering` returns the symbolic sparsity pattern of the
 reordered matrix together with the order, and no Markowitz-ordered
-factorization runs a second symbolic elimination.
+factorization runs a second symbolic elimination.  The pattern comes as the
+sorted column list of every row in the new coordinates
+(:meth:`~repro.sparse.pattern.SparsityPattern.from_rows`), which is the
+layout Crout (:mod:`repro.lu.crout`) and CLUDE's sealed structure
+(:meth:`~repro.lu.factors.LUFactors.sealed`) read; the pattern's frozen set
+is built only if a caller asks for the set itself, so a serving cold
+factorization builds none.
 
 This implementation restricts pivot choices to diagonal positions of the
 active submatrix.  For the matrices this library targets (``A = I - dW``,
@@ -52,14 +58,14 @@ def markowitz_ordering(
         A symmetric ordering (the same permutation applied to rows and
         columns) and the symbolic sparsity pattern of the reordered matrix,
         diagonal included — exactly
-        ``symbolic_decomposition(ordering.apply(A).pattern())``.
+        ``symbolic_decomposition(ordering.apply(A).pattern())``, held as its
+        sorted rows.
     """
-    pattern = (
-        matrix_or_pattern.pattern()
-        if isinstance(matrix_or_pattern, SparseMatrix)
-        else matrix_or_pattern
-    )
-    n = pattern.n
+    n = matrix_or_pattern.n
+    entries = matrix_or_pattern
+    if isinstance(matrix_or_pattern, SparseMatrix):
+        entry_rows, entry_cols, _ = matrix_or_pattern.coo()
+        entries = zip(entry_rows.tolist(), entry_cols.tolist())
 
     # Active structure: row_sets[i] = columns with entries in row i (diagonal
     # excluded), column_sets[j] = rows with entries in column j.  A live
@@ -67,7 +73,7 @@ def markowitz_ordering(
     # it from every set it was in.
     row_sets: List[Set[int]] = [set() for _ in range(n)]
     column_sets: List[Set[int]] = [set() for _ in range(n)]
-    for i, j in pattern:
+    for i, j in entries:
         if i != j:
             row_sets[i].add(j)
             column_sets[j].add(i)
@@ -129,8 +135,13 @@ def markowitz_ordering(
     position = [0] * n
     for k, original in enumerate(order):
         position[original] = k
-    indices = [(k, k) for k in range(n)]
+    # Row k in new coordinates: its L columns (appended by the earlier steps
+    # in ascending k), the diagonal, then U's columns sorted.
+    rows: List[List[int]] = [[] for _ in range(n)]
     for k in range(n):
-        indices.extend((k, position[j]) for j in upper[k])
-        indices.extend((position[i], k) for i in lower[k])
-    return Ordering.symmetric(order), SparsityPattern(n, indices)
+        row = rows[k]
+        row.append(k)
+        row.extend(sorted([position[j] for j in upper[k]]))
+        for i in lower[k]:
+            rows[position[i]].append(k)
+    return Ordering.symmetric(order), SparsityPattern.from_rows(rows)

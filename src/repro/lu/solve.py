@@ -9,10 +9,13 @@ so ``x' = backward(U, forward(L, P b))`` and ``x = Q x'``.
 
 A whole block of right-hand sides (e.g. the 64 query vectors of a proximity
 sweep) is handled by the ``*_many`` variants from
-:mod:`repro.sparse.kernels`.  They read the factor container's own storage
-(``sweep_storage()``) and choose the sweep from the block's width: narrow
-blocks are solved column by column in Python float arithmetic, wide ones by
-one NumPy sweep that updates every column at once.  Both sweeps perform the
+:mod:`repro.sparse.kernels`.  They read the factor container's sweep plan
+(``sweep_plan()``: checked pivots and prebuilt layouts of ``L`` and ``U``,
+built on the first solve after a write and dropped by the next write) and
+choose the sweep from the block's width: a ``k``-column block is narrow
+while ``k · (nnz(L) + nnz(U) + n) <= 128 · n``.  Narrow blocks are solved
+column by column in Python float arithmetic, wide ones by one NumPy sweep
+that updates every column at once.  Both sweeps perform the
 same floating-point operations in the same order for every element, except
 that the narrow forward sweep omits updates that are exact no-ops: it skips
 ``L``'s column ``j`` when ``y[j] == 0``, the block holds no ``-0.0`` and

@@ -365,23 +365,6 @@ class SparseMatrix:
             )
         return kernels.csr_rmatvec(self._n, self._indptr, self._indices, self._data, vector)
 
-    def matmat(self, block: Sequence[Sequence[float]]) -> np.ndarray:
-        """Return ``A @ X`` for a dense ``(n, k)`` block of column vectors.
-
-        Each output column is bitwise identical to ``matvec`` of the matching
-        input column (see the determinism contract in
-        :mod:`repro.sparse.kernels`).
-        """
-        dense = np.asarray(block, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != self._n:
-            raise DimensionError(
-                f"block of shape {dense.shape} incompatible with n={self._n}"
-            )
-        return kernels.csr_matmat(
-            self._n, self._indptr, self._indices, self._data, dense,
-            row_ids=self._row_ids,
-        )
-
     def multiply(self, other: "SparseMatrix") -> "SparseMatrix":
         """Return the sparse-sparse product ``A @ B`` as a new matrix.
 

@@ -10,20 +10,28 @@ of pure-Python loops.
 
 Triangular solves
 -----------------
-The solves read a factor container's native storage through its
-``sweep_storage()`` method (:class:`SweepStorage`: pivots, ``L`` by column,
-unit upper ``U`` by row) and pick one of two sweeps from the block's width:
+The solves read a factor container's :class:`SweepPlan` through its
+``sweep_plan()`` method.  The plan is built from the container's native
+storage (:class:`SweepStorage`: pivots, ``L`` by column, unit upper ``U``
+by row) on the first solve after a write, and the container drops it on
+its next write, so a factor that answers many solves checks its pivots,
+counts its entries and lays out its lists once (see
+:class:`~repro.lu.factors.LUFactors` for the write paths).  The solves pick
+one of two sweeps from the block's width:
 
 * the *narrow* sweep solves one column at a time in Python float
-  arithmetic — column-oriented forward over ``L``, row-oriented backward
-  over ``U`` (rows from ``n - 1`` down, each row's entries in descending
-  column order);
-* the *wide* sweep flattens ``L`` and a column-major transpose of ``U`` into
-  arrays once per call and runs column-oriented NumPy updates that cover
-  all ``k`` right-hand sides at once.
+  arithmetic — column-oriented forward over ``L``'s own lists,
+  row-oriented backward over ``U``'s rows as prebuilt ``(col, value)``
+  pairs (rows from ``n - 1`` down, each row's entries in descending column
+  order);
+* the *wide* sweep runs column-oriented NumPy updates that cover all ``k``
+  right-hand sides at once, over ``L`` flattened by column and a
+  column-major transpose of ``U``, both prebuilt as flat arrays.
 
 A block of ``k`` columns is narrow while ``k · (nnz(L) + nnz(U) + n) <=
-NARROW_SWEEP_RATIO · n``.
+NARROW_SWEEP_RATIO · n``.  Each sweep's layout is built when that sweep
+first runs on the plan, so a factor solved once, by one sweep, pays for
+that sweep's layout alone.
 
 Determinism contract
 --------------------
@@ -52,7 +60,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from math import isfinite
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,29 +156,6 @@ def csr_rmatvec(
     """Return ``A.T @ x``."""
     products = data * np.repeat(x, np.diff(indptr))
     return np.bincount(indices, weights=products, minlength=n)[:n]
-
-
-def csr_matmat(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    dense: np.ndarray,
-    row_ids: np.ndarray = None,
-) -> np.ndarray:
-    """Return ``A @ X`` for a dense ``(n, k)`` block of column vectors.
-
-    Columns are processed independently with :func:`csr_matvec`, so every
-    column is bitwise identical to a standalone matvec of that column.
-    """
-    if row_ids is None:
-        row_ids = expand_row_ids(n, indptr)
-    out = np.empty((n, dense.shape[1]), dtype=np.float64)
-    for column in range(dense.shape[1]):
-        out[:, column] = csr_matvec(
-            n, indptr, indices, data, dense[:, column], row_ids=row_ids
-        )
-    return out
 
 
 def csr_spgemm(
@@ -322,13 +307,13 @@ NARROW_SWEEP_RATIO = 128
 
 
 class SweepStorage(NamedTuple):
-    """A factor container's native storage, as read by the triangular sweeps.
+    """A factor container's native storage, as the sweep plan reads it.
 
     ``pivots[j]`` is ``L[j, j]`` (0.0 when absent).  Column ``j`` of ``L``
     strictly below the diagonal is ``l_rows[j]`` / ``l_values[j]``; row ``i``
     of the unit upper ``U`` strictly right of the diagonal is ``u_cols[i]`` /
     ``u_values[i]``.  Indices ascend within every list.  The lists are the
-    container's own storage and the sweeps only read them.
+    container's own storage.
     """
 
     pivots: List[float]
@@ -337,11 +322,124 @@ class SweepStorage(NamedTuple):
     u_cols: Sequence[Sequence[int]]
     u_values: Sequence[Sequence[float]]
 
+
+class _NarrowLayout(NamedTuple):
+    """The narrow sweep's view of the factors.
+
+    ``forward`` holds ``(j, pivot, rows, values)`` for every column ``j`` of
+    ``L`` (the container's own lists).  ``backward`` holds ``(i, pairs)``
+    for every non-empty row ``i`` of ``U``, rows descending, with ``pairs``
+    the row's ``(col, value)`` entries in descending column order.
+    """
+
+    forward: List[Tuple[int, float, Sequence[int], Sequence[float]]]
+    backward: List[Tuple[int, List[Tuple[int, float]]]]
+
+
+class _WideLayout(NamedTuple):
+    """The wide sweep's view: ``L`` flattened by column and ``U`` transposed to
+    column-major, each as ``(ptr, indices, values)``; rows ascend per column."""
+
+    l_ptr: List[int]
+    l_rows: np.ndarray
+    l_values: np.ndarray
+    u_ptr: List[int]
+    u_rows: np.ndarray
+    u_values: np.ndarray
+
+
+class SweepPlan:
+    """What the triangular sweeps read of one factor container, built once.
+
+    A container builds its plan on the first solve after a write and drops
+    it on every write (:class:`~repro.lu.factors.LUFactors` documents the
+    write paths), so a factor that answers many solves between two writes
+    checks its pivots, counts its entries and lays out its lists once.  The
+    plan holds the first pivot the forward sweep rejects (``singular``, or
+    ``None``), the stored entry count the width rule reads, and, each built
+    only when its sweep first runs, the narrow layout (``U``'s rows as
+    ``(col, value)`` pairs) and the wide layout (flat NumPy arrays).  ``L``'s finiteness, which
+    the narrow forward sweep's zero skip needs, is summed on first use.  The
+    plan only reads the container's lists and never writes them.
+    """
+
+    __slots__ = ("storage", "stored", "singular", "_l_finite", "_narrow", "_wide")
+
+    def __init__(self, storage: SweepStorage) -> None:
+        self.storage = storage
+        self.stored = sum(map(len, storage.l_rows)) + sum(map(len, storage.u_cols))
+        self.singular: Optional[Tuple[int, float]] = None
+        for j, pivot in enumerate(storage.pivots):
+            if abs(pivot) <= PIVOT_TOLERANCE:
+                self.singular = (j, pivot)
+                break
+        self._l_finite: Optional[bool] = None
+        self._narrow: Optional[_NarrowLayout] = None
+        self._wide: Optional[_WideLayout] = None
+
     def is_narrow(self, k: int) -> bool:
         """Whether a ``k``-column block takes the narrow (scalar) sweep."""
-        n = len(self.pivots)
-        stored = sum(map(len, self.l_rows)) + sum(map(len, self.u_cols))
-        return k * (stored + n) <= NARROW_SWEEP_RATIO * n
+        n = len(self.storage.pivots)
+        return k * (self.stored + n) <= NARROW_SWEEP_RATIO * n
+
+    def zero_skip_is_exact(self, block: np.ndarray) -> bool:
+        """Whether the forward sweep may skip ``L``'s column ``j`` when ``x[j] == 0``.
+
+        The skipped update ``x[i] -= v · (±0.0)`` leaves ``x[i]`` unchanged
+        when ``v`` is finite and ``x[i]`` is not ``-0.0``.  ``a - b`` is
+        ``-0.0`` only when ``a`` is, so a block without ``-0.0`` never
+        produces one in a row the sweep has yet to reach, and an ``inf`` or
+        NaN anywhere in ``L`` makes the sum of its values non-finite.  A NaN
+        ``x[i]`` ends with the same bits either way: the skipped subtraction
+        would only quiet it, and the division by its pivot quiets it anyway.
+        A block without zeros is not checked, since a zero reached by
+        cancellation is too rare to pay for the check.
+        """
+        zeros = block == 0.0
+        if not zeros.any() or np.signbit(block[zeros]).any():
+            return False
+        if self._l_finite is None:
+            self._l_finite = isfinite(sum(chain.from_iterable(self.storage.l_values)))
+        return self._l_finite
+
+    def narrow_layout(self) -> _NarrowLayout:
+        """``L``'s columns as they are, ``U``'s rows as reversed pairs."""
+        layout = self._narrow
+        if layout is None:
+            pivots, l_rows, l_values, u_cols, u_values = self.storage
+            n = len(pivots)
+            # U flattened row-major and then reversed runs row n - 1 first,
+            # each row in descending column order: one zip makes every pair.
+            pairs = list(zip(
+                reversed(list(chain.from_iterable(u_cols))),
+                reversed(list(chain.from_iterable(u_values))),
+            ))
+            backward = []
+            start = 0
+            for i in range(n - 1, -1, -1):
+                stop = start + len(u_cols[i])
+                if stop != start:
+                    backward.append((i, pairs[start:stop]))
+                start = stop
+            forward = list(zip(range(n), pivots, l_rows, l_values))
+            layout = self._narrow = _NarrowLayout(forward, backward)
+        return layout
+
+    def wide_layout(self) -> _WideLayout:
+        """``L`` flattened by column and ``U`` transposed to column-major."""
+        layout = self._wide
+        if layout is None:
+            pivots, l_rows, l_values, u_cols, u_values = self.storage
+            n = len(pivots)
+            l_ptr, rows, vals = _flatten(l_rows, l_values)
+            row_ptr, cols, u_vals = _flatten(u_cols, u_values)
+            # Transpose U to column-major: a stable sort by column keeps each
+            # column's rows ascending.
+            order = np.argsort(cols, kind="stable")
+            u_rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(row_ptr))[order]
+            u_ptr = [0, *accumulate(np.bincount(cols, minlength=n).tolist())]
+            layout = self._wide = _WideLayout(l_ptr, rows, vals, u_ptr, u_rows, u_vals[order])
+        return layout
 
 
 def _as_rhs_block(n: int, block) -> np.ndarray:
@@ -354,53 +452,30 @@ def _as_rhs_block(n: int, block) -> np.ndarray:
     return array
 
 
-def _zero_skip_is_exact(block: np.ndarray, l_values: Sequence[Sequence[float]]) -> bool:
-    """Whether the forward sweep may skip ``L``'s column ``j`` when ``x[j] == 0``.
-
-    The skipped update ``x[i] -= v · (±0.0)`` leaves ``x[i]`` unchanged when
-    ``v`` is finite and ``x[i]`` is not ``-0.0``.  ``a - b`` is ``-0.0`` only
-    when ``a`` is, so a block without ``-0.0`` never produces one in a row the
-    sweep has yet to reach, and an ``inf`` or NaN anywhere in ``L`` makes the
-    sum of its values non-finite.  A NaN ``x[i]`` ends with the same bits
-    either way: the skipped subtraction would only quiet it, and the
-    division by its pivot quiets it anyway.  A block without zeros is not
-    checked, since a zero reached by cancellation is too rare to pay for
-    the check.
-    """
-    zeros = block == 0.0
-    return (
-        bool(zeros.any())
-        and not np.signbit(block[zeros]).any()
-        and isfinite(sum(chain.from_iterable(l_values)))
-    )
-
-
-def _narrow(block: np.ndarray, storage: SweepStorage, forward: bool, backward: bool) -> None:
+def _narrow(block: np.ndarray, plan: SweepPlan, forward: bool, backward: bool) -> None:
     """Sweep each column of ``block`` in place with Python float arithmetic.
 
     Forward, column ``j`` of ``L`` is skipped when ``x[j] == 0`` and
-    :func:`_zero_skip_is_exact` holds for the block, which keeps every bit.
+    :meth:`SweepPlan.zero_skip_is_exact` holds for the block, which keeps
+    every bit.
     """
-    pivots, l_rows, l_values, u_cols, u_values = storage
-    n = len(pivots)
-    skip = forward and _zero_skip_is_exact(block, l_values)
+    columns, rows = plan.narrow_layout()
+    skip = forward and plan.zero_skip_is_exact(block)
     for c in range(block.shape[1]):
         x = block[:, c].tolist()
         if forward:
-            for j, pivot in enumerate(pivots):
+            for j, pivot, l_rows, l_values in columns:
                 xj = x[j] / pivot
                 x[j] = xj
                 if xj or not skip:
-                    for i, value in zip(l_rows[j], l_values[j]):
+                    for i, value in zip(l_rows, l_values):
                         x[i] -= value * xj
         if backward:
-            for i in range(n - 1, -1, -1):
-                cols = u_cols[i]
-                if cols:
-                    xi = x[i]
-                    for j, value in zip(reversed(cols), reversed(u_values[i])):
-                        xi -= value * x[j]
-                    x[i] = xi
+            for i, row in rows:
+                xi = x[i]
+                for j, value in row:
+                    xi -= value * x[j]
+                x[i] = xi
         block[:, c] = x
 
 
@@ -412,42 +487,31 @@ def _flatten(lists: Sequence[Sequence[int]], values: Sequence[Sequence[float]]):
     return ptr, indices, data
 
 
-def _wide(block: np.ndarray, storage: SweepStorage, forward: bool, backward: bool) -> None:
+def _wide(block: np.ndarray, plan: SweepPlan, forward: bool, backward: bool) -> None:
     """Sweep all columns of ``block`` at once with per-column NumPy updates."""
-    pivots, l_rows, l_values, u_cols, u_values = storage
-    n = len(pivots)
+    l_ptr, l_rows, l_vals, u_ptr, u_rows, u_vals = plan.wide_layout()
     if forward:
-        ptr, rows, vals = _flatten(l_rows, l_values)
-        for j, pivot in enumerate(pivots):
+        for j, pivot in enumerate(plan.storage.pivots):
             block[j] /= pivot
-            start, stop = ptr[j], ptr[j + 1]
+            start, stop = l_ptr[j], l_ptr[j + 1]
             if start != stop:
-                block[rows[start:stop]] -= vals[start:stop, None] * block[j]
+                block[l_rows[start:stop]] -= l_vals[start:stop, None] * block[j]
     if backward:
-        row_ptr, cols, vals = _flatten(u_cols, u_values)
-        # Transpose U to column-major: a stable sort by column keeps each
-        # column's rows ascending.
-        order = np.argsort(cols, kind="stable")
-        rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(row_ptr))[order]
-        vals = vals[order]
-        ptr = [0, *accumulate(np.bincount(cols, minlength=n).tolist())]
-        for j in range(n - 1, 0, -1):
-            start, stop = ptr[j], ptr[j + 1]
+        for j in range(len(plan.storage.pivots) - 1, 0, -1):
+            start, stop = u_ptr[j], u_ptr[j + 1]
             if start != stop:
-                block[rows[start:stop]] -= vals[start:stop, None] * block[j]
+                block[u_rows[start:stop]] -= u_vals[start:stop, None] * block[j]
 
 
 def _sweep(factors, block, forward: bool, backward: bool, kernel=None) -> np.ndarray:
-    """Validate, read the storage, check pivots and run the chosen sweep."""
+    """Validate, fetch the factors' plan, check pivots and run the chosen sweep."""
     block = _as_rhs_block(factors.n, block)
-    storage = factors.sweep_storage()
-    if forward:
-        for j, pivot in enumerate(storage.pivots):
-            if abs(pivot) <= PIVOT_TOLERANCE:
-                raise SingularMatrixError(j, pivot)
+    plan = factors.sweep_plan()
+    if forward and plan.singular is not None:
+        raise SingularMatrixError(*plan.singular)
     if kernel is None:
-        kernel = _narrow if storage.is_narrow(block.shape[1]) else _wide
-    kernel(block, storage, forward, backward)
+        kernel = _narrow if plan.is_narrow(block.shape[1]) else _wide
+    kernel(block, plan, forward, backward)
     return block
 
 

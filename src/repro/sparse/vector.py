@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -35,19 +35,3 @@ def seed_vector(n: int, seeds: Iterable[int], total: float = 1.0) -> np.ndarray:
     for s in seed_list:
         vector[s] += share
     return vector
-
-
-def dense_to_sparse(vector: Sequence[float], tolerance: float = 0.0) -> Dict[int, float]:
-    """Collect the entries of ``vector`` whose magnitude exceeds ``tolerance``."""
-    array = np.asarray(vector, dtype=float)
-    return {int(i): float(v) for i, v in enumerate(array) if abs(v) > tolerance}
-
-
-def top_k(vector: Sequence[float], k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Return the indices and values of the ``k`` largest entries, descending."""
-    array = np.asarray(vector, dtype=float)
-    if k <= 0:
-        return np.array([], dtype=int), np.array([], dtype=float)
-    k = min(k, array.size)
-    order = np.argsort(-array, kind="stable")[:k]
-    return order, array[order]

@@ -310,9 +310,11 @@ def _encode_factors(
     sorted indices and its values.  For sealed factors the indices are the
     slot pattern and zero-valued slots are part of the state (``-0.0`` is a
     distinct bit pattern); growable lists hold only non-zeros.  Decoding
-    adopts the same lists, so the rebuilt container is identical.
+    adopts the same lists, so the rebuilt container is identical.  The
+    lists are read through the sweep plan, which only reads them, so a
+    checkpointed factor that stays in memory keeps its plan.
     """
-    pivots, l_rows, l_values, u_cols, u_values = factors.sweep_storage()
+    pivots, l_rows, l_values, u_cols, u_values = factors.sweep_plan().storage
     meta["sealed"] = factors.is_sealed
     arrays["pivots"] = np.array(pivots, dtype=np.float64)
     for prefix, indices, values in (("l", l_rows, l_values), ("u", u_cols, u_values)):

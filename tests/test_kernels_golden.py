@@ -67,19 +67,6 @@ class TestProductsGolden:
         x = rng.standard_normal(n)
         assert np.allclose(matrix.rmatvec(x), matrix.to_dense().T @ x)
 
-    @pytest.mark.parametrize("n", SIZES)
-    def test_matmat(self, n, rng):
-        matrix = random_sparse(n, rng)
-        block = rng.standard_normal((n, 5))
-        assert np.allclose(matrix.matmat(block), matrix.to_dense() @ block)
-
-    def test_matmat_columns_bitwise_match_matvec(self, rng):
-        matrix = random_sparse(16, rng)
-        block = rng.standard_normal((16, 4))
-        product = matrix.matmat(block)
-        for column in range(4):
-            assert product[:, column].tobytes() == matrix.matvec(block[:, column]).tobytes()
-
     def test_matvec_empty_rows_give_zero(self, rng):
         matrix = SparseMatrix(4, {(1, 2): 3.0})
         result = matrix.matvec([1.0, 1.0, 1.0, 1.0])
@@ -248,7 +235,6 @@ class TestEmptyMatrixEdgeCases:
         matrix = SparseMatrix.zeros(0)
         assert matrix.matvec([]).shape == (0,)
         assert matrix.rmatvec([]).shape == (0,)
-        assert matrix.matmat(np.zeros((0, 3))).shape == (0, 3)
 
     def test_n_zero_delta_and_permute(self):
         matrix = SparseMatrix.zeros(0)

@@ -27,7 +27,7 @@ from repro.measures.rwr import rwr_scores, rwr_scores_many
 from repro.measures.timeseries import MeasureSeries
 from repro.measures.base import SnapshotMeasureSolver
 from repro.sparse.csr import SparseMatrix
-from repro.sparse.kernels import _zero_skip_is_exact, narrow_sweep, wide_sweep
+from repro.sparse.kernels import narrow_sweep, wide_sweep
 from tests.conftest import random_dd_matrix
 
 ALGORITHMS = available_algorithms()
@@ -180,7 +180,7 @@ class TestSolveManyEqualsColumnwiseSolve:
         block = _sparse_block(shape, n, k, rng)
         for factors in _dynamic_and_static(random_dd_matrix(n, 3 * n, rng)):
             # The skip is live whenever the block holds a zero.
-            live = _zero_skip_is_exact(block, factors.sweep_storage().l_values)
+            live = factors.sweep_plan().zero_skip_is_exact(block)
             assert live == (block == 0.0).any()
             _assert_sweeps_agree(factors, block)
             _assert_matches_reference(factors, block)
@@ -191,7 +191,7 @@ class TestSolveManyEqualsColumnwiseSolve:
         zeros = block == 0.0
         block[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
         for factors in _dynamic_and_static(random_dd_matrix(120, 360, rng)):
-            assert not _zero_skip_is_exact(block, factors.sweep_storage().l_values)
+            assert not factors.sweep_plan().zero_skip_is_exact(block)
             _assert_sweeps_agree(factors, block)
             _assert_matches_reference(factors, block)
 
@@ -199,7 +199,7 @@ class TestSolveManyEqualsColumnwiseSolve:
         matrix = SparseMatrix(3, {(0, 0): 2.0, (1, 1): 3.0, (2, 2): 4.0, (2, 0): np.inf})
         block = np.eye(3)[:, [1]]
         for factors in _dynamic_and_static(matrix):
-            assert not _zero_skip_is_exact(block, factors.sweep_storage().l_values)
+            assert not factors.sweep_plan().zero_skip_is_exact(block)
             solution = narrow_sweep(factors, block)[:, 0]
             assert solution[:2].tolist() == [0.0, 1.0 / 3.0]
             assert np.isnan(solution[2])
@@ -214,7 +214,7 @@ class TestSolveManyEqualsColumnwiseSolve:
         block = _sparse_block("two_seed", 120, 2, rng)
         block[rng.integers(120, size=4), 0] = np.array([nan_bits], np.uint64).view(np.float64)[0]
         for factors in _dynamic_and_static(random_dd_matrix(120, 360, rng)):
-            assert _zero_skip_is_exact(block, factors.sweep_storage().l_values)
+            assert factors.sweep_plan().zero_skip_is_exact(block)
             with np.errstate(invalid="ignore"):  # NumPy quieting the signalling NaN
                 _assert_sweeps_agree(factors, block)
             _assert_matches_reference(factors, block)
@@ -228,9 +228,9 @@ class TestSolveManyEqualsColumnwiseSolve:
                 edges.add((u, v))
         matrix = measure_matrix(GraphSnapshot(400, edges), MatrixKind.RANDOM_WALK, 0.85)
         factors = crout_decompose(markowitz_ordering(matrix)[0].apply(matrix))
-        storage = factors.sweep_storage()
-        assert storage.is_narrow(1)
-        assert not storage.is_narrow(32)
+        plan = factors.sweep_plan()
+        assert plan.is_narrow(1)
+        assert not plan.is_narrow(32)
 
 
 class TestBatchedSeriesBitwiseIdentity:

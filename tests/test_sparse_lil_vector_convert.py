@@ -8,12 +8,7 @@ import pytest
 from repro.errors import DimensionError
 from repro.lu.crout import crout_decompose
 from repro.lu.factors import LUFactors
-from repro.sparse.vector import (
-    dense_to_sparse,
-    seed_vector,
-    top_k,
-    unit_vector,
-)
+from repro.sparse.vector import seed_vector, unit_vector
 from tests.conftest import random_dd_matrix
 
 
@@ -100,17 +95,4 @@ class TestVectorHelpers:
             seed_vector(5, [])
         with pytest.raises(DimensionError):
             seed_vector(5, [7])
-
-    def test_sparse_dense_round_trip(self):
-        sparse = {1: 2.0, 3: -1.0}
-        dense = np.zeros(5)
-        dense[list(sparse)] = list(sparse.values())
-        assert dense_to_sparse(dense) == sparse
-
-    def test_top_k(self):
-        indices, values = top_k([0.1, 0.9, 0.5], 2)
-        assert indices.tolist() == [1, 2]
-        assert values.tolist() == [0.9, 0.5]
-        empty_indices, _ = top_k([0.1], 0)
-        assert empty_indices.size == 0
 
