@@ -34,7 +34,7 @@ from typing import List
 from repro.graphs.generators import evolving_chain
 from repro.graphs.matrixkind import MatrixKind, measure_matrix
 from repro.graphs.snapshot import GraphSnapshot
-from repro.query import QueryBatch, QueryPlanner
+from repro.query import FactorCache, QueryBatch, QueryPlanner
 from repro.query.spec import FactorizedSystem, SystemKey
 from repro.store import FactorStore
 
@@ -77,7 +77,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as checkpoint_dir, \
             tempfile.TemporaryDirectory() as reference_dir:
         store = FactorStore(checkpoint_dir)
-        planner = QueryPlanner(store=store)
+        planner = QueryPlanner(cache=FactorCache(store=store))
         outcomes = serve(chain, planner)
         refreshes = sum(o.stats.refreshes for o in outcomes)
         spilled = planner.checkpoint()
@@ -115,7 +115,7 @@ def main() -> None:
         cold_time = time.perf_counter() - started
 
         # --- warm restart: a fresh planner over the checkpoint directory.
-        warm_planner = QueryPlanner(store=FactorStore(checkpoint_dir))
+        warm_planner = QueryPlanner(cache=FactorCache(store=FactorStore(checkpoint_dir)))
         started = time.perf_counter()
         warm_outcomes = serve(chain, warm_planner)
         warm_time = time.perf_counter() - started

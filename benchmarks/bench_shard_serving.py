@@ -10,9 +10,10 @@ Crout factorizations that sharding distributes — once through the serial
 Three properties are **gated**, not just reported (a non-zero exit fails CI):
 
 1. every sharded answer is bitwise identical to the serial answer;
-2. ``member_bytes_shipped`` is exactly zero — snapshot/factor members never
-   cross the process boundary (they travel once through the shared-memory
-   arena; tasks carry only descriptors and handles);
+2. no dispatched task message contains a ``GraphSnapshot``, ``SparseMatrix``
+   or ``LUFactors`` — snapshot/factor members never cross the process
+   boundary (they travel once through the shared-memory arena; tasks carry
+   only descriptors and handles);
 3. sharded wall-clock stays within ``--tolerance`` of serial (pool spawn is
    excluded — the constructor's ready handshake completes before timing
    starts — so this measures steady-state dispatch overhead, which is what
@@ -34,6 +35,7 @@ Runs standalone (and as the ~30s CI smoke)::
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import pickle
 import sys
@@ -41,12 +43,18 @@ import time
 from typing import Dict, List, Tuple
 
 from repro.graphs.generators import SyntheticEGSConfig, generate_synthetic_egs
+from repro.graphs.snapshot import GraphSnapshot
+from repro.lu.factors import LUFactors
 from repro.query import QueryBatch, QueryPlanner
 from repro.shard import ShardedPlanner
+from repro.sparse.csr import SparseMatrix
 
 from _shared import host_info_line
 
 DAMPINGS = (0.85, 0.6)
+
+#: Objects no task message may carry (they travel through the arena).
+MEMBER_TYPES = (GraphSnapshot, SparseMatrix, LUFactors)
 
 
 def build_stream(nodes: int, snapshots: int) -> List[QueryBatch]:
@@ -87,6 +95,23 @@ def naive_member_bytes(stream: List[QueryBatch]) -> int:
     )
 
 
+def member_objects(messages: List[tuple]) -> List[str]:
+    """Type names of the member objects anywhere inside ``messages``.
+
+    The pickler's ``persistent_id`` hook sees every object it writes.
+    """
+    found: List[str] = []
+
+    class _Walker(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, MEMBER_TYPES):
+                found.append(type(obj).__name__)
+            return None
+
+    _Walker(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(messages)
+    return found
+
+
 def run_serial(stream: List[QueryBatch]) -> Tuple[List[bytes], float]:
     planner = QueryPlanner()
     started = time.perf_counter()
@@ -96,15 +121,23 @@ def run_serial(stream: List[QueryBatch]) -> Tuple[List[bytes], float]:
 
 def run_sharded(
     stream: List[QueryBatch], shards: int
-) -> Tuple[List[bytes], float, Dict[str, int]]:
+) -> Tuple[List[bytes], float, Dict[str, int], List[str]]:
     with ShardedPlanner(shards=shards) as planner:  # spawn excluded from timing
+        messages: List[tuple] = []
+        dispatch = planner._dispatch
+
+        def recording(shard: int, message: tuple) -> int:
+            messages.append(message)
+            return dispatch(shard, message)
+
+        planner._dispatch = recording
         started = time.perf_counter()
         answers = [
             a.tobytes() for batch in stream for a in planner.run(batch).results
         ]
         wall = time.perf_counter() - started
         info = planner.dispatch_info()
-    return answers, wall, info
+    return answers, wall, info, member_objects(messages)
 
 
 def main() -> None:
@@ -133,21 +166,21 @@ def main() -> None:
         "serial", f"{serial_wall:.3f}", "1.00x", "-", "-", "-", "-",
     ]]
     for shards in args.shards:
-        answers, wall, info = run_sharded(stream, shards)
+        answers, wall, info, members = run_sharded(stream, shards)
         bitwise = answers == serial_answers
         tasks = info["tasks_dispatched"]
         task_bytes = info["task_bytes_shipped"] / max(tasks, 1)
-        member_bytes = info["member_bytes_shipped"]
         ratio = wall / serial_wall
         print(f"  shards={shards}: {wall:.3f}s ({ratio:.2f}x serial), "
               f"{tasks} tasks, {task_bytes:.0f} task B/task, "
-              f"{member_bytes} member B, bitwise={'ok' if bitwise else 'FAILED'}")
+              f"{len(members)} member objects, "
+              f"bitwise={'ok' if bitwise else 'FAILED'}")
         if not bitwise:
             failures.append(f"shards={shards}: answers diverge from serial")
-        if member_bytes != 0:
+        if members:
             failures.append(
-                f"shards={shards}: {member_bytes} member bytes crossed the "
-                f"process boundary (must be 0)"
+                f"shards={shards}: task messages carried {sorted(set(members))} "
+                f"across the process boundary (must carry none)"
             )
         if ratio > args.tolerance:
             failures.append(
@@ -160,13 +193,13 @@ def main() -> None:
             f"{ratio:.2f}x",
             str(tasks),
             f"{task_bytes:.0f}",
-            str(member_bytes),
+            str(len(members)),
             "yes" if bitwise else "NO — INVALID RUN",
         ])
 
     naive_per_task = naive_total / max(len(stream), 1)
     header = ["configuration", "wall (s)", "vs serial", "tasks",
-              "task bytes/task", "member bytes", "bitwise"]
+              "task bytes/task", "member objects", "bitwise"]
     lines = [
         "# Sharded serving: worker pool with shared-memory CSR",
         "",
@@ -176,7 +209,7 @@ def main() -> None:
         f"(n={args.nodes}), {queries} queries across all measures and "
         f"dampings {DAMPINGS} — factorization-dominated",
         "- pool spawn excluded (constructor ready-handshake completes before "
-        "timing); gates: bitwise equality, zero member bytes shipped, "
+        "timing); gates: bitwise equality, no member objects in any task, "
         f"wall-clock within {args.tolerance:.2f}x of serial",
         f"- naive dispatch baseline: pickling the member-bearing queries "
         f"would ship {naive_per_task:.0f} bytes per batch task; descriptor "

@@ -74,7 +74,6 @@ if TYPE_CHECKING:  # runtime import is lazy: repro.policy sits above the
     # core package, whose solver module imports this one (see
     # QueryPlanner.__init__).
     from repro.policy import ReusePolicy
-    from repro.store.factorstore import FactorStore
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,6 +283,19 @@ def plan_batch(batch: Union[QueryBatch, Sequence[Query]]) -> QueryPlan:
     return QueryPlan(batch=batch, groups=groups, direct=tuple(direct))
 
 
+def validate_evolution(old: GraphSnapshot, new: GraphSnapshot) -> None:
+    """Reject a lineage pair the refresh tier could not delta-update."""
+    if not isinstance(old, GraphSnapshot) or not isinstance(new, GraphSnapshot):
+        raise MeasureError(
+            "register_evolution takes two GraphSnapshots (the delta is "
+            "computed from their edge sets)"
+        )
+    if old.n != new.n:
+        raise MeasureError(
+            f"evolution must preserve the node count: {old.n} vs {new.n}"
+        )
+
+
 class QueryPlanner:
     """Group queries by shared system matrix; factorize once per group.
 
@@ -316,9 +328,8 @@ class QueryPlanner:
        system over the *same snapshot* at a different damping factor, whose
        delta ``(d' - d)·M`` the same machinery bounds.
     5. **Delta refresh** (:class:`~repro.query.resolution.RefreshTier`) —
-       a registered lineage (or, with ``auto_refresh``, the nearest cached
-       same-shape snapshot) Bennett-updates a clone of the parent's
-       factors: near-exact, cheaper than cold.
+       a registered lineage (:meth:`register_evolution`) Bennett-updates a
+       clone of the parent's factors: near-exact, cheaper than cold.
     6. **Cold factorization** (:class:`~repro.query.resolution.ColdTier`)
        — Markowitz + Crout, dispatched as executor work units.
 
@@ -339,16 +350,11 @@ class QueryPlanner:
         groups out exactly like the sequence-decomposition work units.
         Results are bitwise identical regardless of the executor.
     cache:
-        An existing :class:`FactorCache` to share or pre-seed; a fresh one is
-        created when omitted.
-    auto_refresh:
-        When true, a cache-miss snapshot with no registered lineage scans the
-        cached keys for a same-``(kind, damping)`` snapshot of the same size
-        and delta-refreshes from the nearest one (smallest
-        :class:`~repro.graphs.delta.GraphDelta`).  Off by default: refreshed
-        factors answer within numerical tolerance but not bitwise-identically
-        to a cold factorization, so refresh must be opted into — either
-        through this flag or per-evolution via :meth:`register_evolution`.
+        An existing :class:`FactorCache` to share or pre-seed; a fresh
+        unbounded, memory-only one is created when omitted.  A disk tier is
+        attached here too: ``cache=FactorCache(store=...)`` spills evicted
+        factors to the :class:`~repro.store.factorstore.FactorStore`,
+        restores misses from it and backs :meth:`checkpoint`.
     policy:
         The reuse policy for the verbatim/corrected tiers.  ``None``
         (default) resolves to :class:`~repro.policy.exact.ExactPolicy`,
@@ -364,23 +370,19 @@ class QueryPlanner:
         ``False`` mean default / disabled; a :class:`ResultCache` instance
         is used as given.  Cached answers are value-copies, so result
         caching never changes observable answers.
-    store:
-        Convenience for the common warm-boot construction: a
-        :class:`~repro.store.factorstore.FactorStore` to build the
-        planner's :class:`FactorCache` around (spill on eviction, consult
-        on miss, :meth:`checkpoint`).  Mutually exclusive with ``cache`` —
-        when sharing an existing cache, attach the store to it directly
-        via ``FactorCache(store=...)``.
+
+    Refresh is opted into per evolution through :meth:`register_evolution`:
+    refreshed factors answer within numerical tolerance of a cold
+    factorization, not bitwise, so a snapshot with no registered lineage
+    never refreshes.
     """
 
     def __init__(
         self,
         executor: Union[Executor, int, None] = None,
         cache: Optional[FactorCache] = None,
-        auto_refresh: bool = False,
         policy: Optional["ReusePolicy"] = None,
         result_cache: Union[ResultCache, int, None] = None,
-        store: Optional["FactorStore"] = None,
     ) -> None:
         # Imported here, not at module level: repro.policy sits above the
         # core package, whose solver module imports this one.
@@ -392,17 +394,8 @@ class QueryPlanner:
             raise MeasureError(
                 f"policy must be a ReusePolicy, got {type(policy).__name__}"
             )
-        if store is not None and cache is not None:
-            raise MeasureError(
-                "pass either cache= or store=: to combine a shared cache "
-                "with a disk tier, construct it as FactorCache(store=...)"
-            )
         self._executor = executor
-        if cache is not None:
-            self._cache = cache
-        else:
-            self._cache = FactorCache(store=store)
-        self._auto_refresh = bool(auto_refresh)
+        self._cache = cache if cache is not None else FactorCache()
         self._policy = policy
         self._ladder = ResolutionLadder()
         if result_cache is None:
@@ -557,25 +550,18 @@ class QueryPlanner:
         the :class:`~repro.query.spec.SystemKey` identities when they differ
         from the snapshots themselves — e.g. an
         :class:`~repro.core.solver.EMSSolver` index token for factors seeded
-        from a sequence decomposition.  Registering a lineage is the per-pair
+        from a sequence decomposition.  Registering a lineage is the only
         opt-in to refresh (answers match a cold factorization within
         numerical tolerance, not bitwise).
 
-        Lineage entries live for the planner's lifetime (each holds both
-        snapshots), so register per-pair evolutions judiciously on long-lived
-        planners — for an unboundedly evolving stream prefer
-        ``auto_refresh`` or a :class:`~repro.policy.qc.QCPolicy`, which need
-        no per-pair state.
+        Each entry holds both snapshots.  An entry is pruned once the last
+        cached key of its parent's system leaves the factor cache, so under
+        a size-bounded :class:`FactorCache` the registry tracks the cache's
+        working set; under an unbounded cache it grows with every
+        registered pair.  Pruning also happens when the parent is spilled to
+        a store, so a child whose parent was spilled factorizes cold.
         """
-        if not isinstance(old, GraphSnapshot) or not isinstance(new, GraphSnapshot):
-            raise MeasureError(
-                "register_evolution takes two GraphSnapshots (the delta is "
-                "computed from their edge sets)"
-            )
-        if old.n != new.n:
-            raise MeasureError(
-                f"evolution must preserve the node count: {old.n} vs {new.n}"
-            )
+        validate_evolution(old, new)
         self._lineage[new_system if new_system is not None else new] = (
             old_system if old_system is not None else old,
             old,
@@ -609,7 +595,6 @@ class QueryPlanner:
             cache=self._cache,
             policy=self._policy,
             executor=self._executor,
-            auto_refresh=self._auto_refresh,
             lineage=self._lineage,
             snapshot_of=self._snapshot_of,
             scan=self._ladder.scan,

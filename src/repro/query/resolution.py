@@ -344,8 +344,6 @@ class ResolutionContext:
     policy: "ReusePolicy"
     #: how refresh / factorization work units are scheduled
     executor: Union[Executor, int, None]
-    #: whether a lineage-less miss may scan for the nearest cached parent
-    auto_refresh: bool
     #: registered evolutions: new system identity -> (old identity, old, new)
     lineage: Dict[Hashable, Tuple[Hashable, GraphSnapshot, GraphSnapshot]]
     #: resolves a cached key to the snapshot its system was composed from
@@ -639,20 +637,20 @@ class RefreshTier(ResolutionTier):
             payloads = []
             deferred: List["PlannedGroup"] = []
             for group in pending:
-                parent = self._refresh_parent(group.key, ctx)
-                if parent is None:
-                    if self._has_lineage(group.key, ctx):
-                        deferred.append(group)
-                    else:
-                        cold.append(group)
+                lineage = self._lineage_of(group.key, ctx)
+                if lineage is None:
+                    cold.append(group)
                     continue
-                old_key, old_snapshot, new_snapshot, graph_delta = parent
+                old_key, old_snapshot, new_snapshot = lineage
+                if ctx.cache.peek(old_key) is None:
+                    deferred.append(group)
+                    continue
                 entries = system_delta(
                     old_snapshot,
                     new_snapshot,
                     kind=group.key.kind,
                     damping=group.key.damping,
-                    delta=graph_delta,
+                    delta=GraphDelta.between(old_snapshot, new_snapshot),
                 )
                 prepared = ctx.cache.prepare_refresh(old_key, entries)
                 if prepared is None:
@@ -697,52 +695,21 @@ class RefreshTier(ResolutionTier):
         return resolved, cold
 
     @staticmethod
-    def _refresh_parent(
+    def _lineage_of(
         key: SystemKey, ctx: ResolutionContext
-    ) -> Optional[Tuple[SystemKey, GraphSnapshot, GraphSnapshot, GraphDelta]]:
-        """Find a cached parent system to delta-refresh ``key`` from.
+    ) -> Optional[Tuple[SystemKey, GraphSnapshot, GraphSnapshot]]:
+        """The registered lineage of ``key``: parent key, old and new snapshot.
 
         Custom-matrix keys never refresh (their composition is opaque to the
-        system-delta layer).  Explicit lineage wins; with ``auto_refresh`` a
-        snapshot-keyed miss falls back to scanning the cached keys for the
-        nearest same-shape snapshot.
+        system-delta layer), so they have no lineage.
         """
         if key.matrix_builder is not None:
             return None
         lineage = ctx.lineage.get(key.system)
-        if lineage is not None:
-            old_system, old_snapshot, new_snapshot = lineage
-            old_key = dataclasses.replace(key, system=old_system)
-            if ctx.cache.peek(old_key) is None:
-                return None
-            return (
-                old_key,
-                old_snapshot,
-                new_snapshot,
-                GraphDelta.between(old_snapshot, new_snapshot),
-            )
-        if not ctx.auto_refresh or not isinstance(key.system, GraphSnapshot):
+        if lineage is None:
             return None
-        new_snapshot = key.system
-        best = None
-        for candidate in ctx.cache.keys():
-            if (
-                candidate.kind is key.kind
-                and candidate.damping == key.damping
-                and candidate.matrix_params == key.matrix_params
-                and candidate.matrix_builder is None
-                and isinstance(candidate.system, GraphSnapshot)
-                and candidate.system.n == new_snapshot.n
-            ):
-                delta = GraphDelta.between(candidate.system, new_snapshot)
-                if best is None or delta.size < best[3].size:
-                    best = (candidate, candidate.system, new_snapshot, delta)
-        return best
-
-    @staticmethod
-    def _has_lineage(key: SystemKey, ctx: ResolutionContext) -> bool:
-        """Whether a refreshable lineage was registered for this key's system."""
-        return key.matrix_builder is None and key.system in ctx.lineage
+        old_system, old_snapshot, new_snapshot = lineage
+        return dataclasses.replace(key, system=old_system), old_snapshot, new_snapshot
 
 
 class ColdTier(ResolutionTier):

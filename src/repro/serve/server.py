@@ -14,9 +14,9 @@ Streaming graph updates ride the same FIFO queue: :meth:`MeasureServer.
 admit_update` advances the server's *head* snapshot at a batch boundary
 (an update flushes the open window, so queries submitted before it are
 answered against the graph they saw) and registers the evolution with the
-planner — the existing ``register_evolution`` / ``auto_refresh`` /
-``QCPolicy`` machinery then serves the new head by Bennett refresh or
-certified policy reuse instead of a cold factorization.
+planner — the existing ``register_evolution`` lineage (or an approximate
+reuse policy such as ``QCPolicy``) then serves the new head by Bennett
+refresh or certified policy reuse instead of a cold factorization.
 
 Failure isolation: a batch whose planner run raises (e.g. one poisoned query
 with a singular custom system) degrades to per-query execution, so only the
@@ -42,11 +42,10 @@ from typing import Deque, Dict, Hashable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import MeasureError
-from repro.exec.executors import Executor
 from repro.graphs.matrixkind import DEFAULT_DAMPING, validate_damping
 from repro.graphs.snapshot import GraphSnapshot
 from repro.query.batch import QueryBatch
-from repro.query.cache import FactorCache, ResultCache
+from repro.query.cache import FactorCache
 from repro.query.planner import QueryPlanner
 from repro.query.spec import Query, get_spec, make_query
 from repro.serve.stats import (
@@ -125,10 +124,11 @@ class MeasureServer:
     Parameters
     ----------
     planner:
-        The planner to serve from.  When omitted, one is constructed from
-        ``executor`` / ``cache`` / ``auto_refresh`` / ``policy`` /
-        ``result_cache`` (which are rejected when an explicit planner is
-        passed — the planner already owns those choices).
+        The planner to serve from; every planner setting (executor, factor
+        and result caches, policy) is configured on it.  When omitted, the
+        server constructs one from ``policy`` / ``store`` / ``shards``
+        (which are rejected when an explicit planner is passed — the
+        planner already owns those choices).
     max_batch:
         Admission-window size: a window flushes as soon as this many queries
         are pending (larger batches amortize planning and share substitution
@@ -138,10 +138,12 @@ class MeasureServer:
         milliseconds after its *first* query was enqueued, full or not.
         ``0`` disables coalescing-by-time entirely (a window still fills
         from backlog up to ``max_batch``).
+    policy:
+        The reuse policy of the constructed planner (``None``: exact).
     store:
         Optional :class:`~repro.store.factorstore.FactorStore` for the
-        constructed planner (mutually exclusive with ``cache`` and with an
-        explicit ``planner``): evicted factors spill to disk, misses
+        constructed planner's factor cache (with ``shards>1``, the shards
+        share its directory): evicted factors spill to disk, misses
         restore from it, and :meth:`checkpoint` flushes the working set —
         a server restarted against the same store directory answers its
         first batch bitwise-identically with zero cold factorizations for
@@ -149,12 +151,13 @@ class MeasureServer:
     register_lineage:
         When true (default), :meth:`admit_update` registers the
         parent→child evolution with the planner, so queries against the new
-        head delta-refresh the parent's cached factors.  Disable for
-        unboundedly evolving streams served by ``auto_refresh`` or a
-        :class:`~repro.policy.qc.QCPolicy`, which need no per-pair state
-        (with a size-bounded :class:`~repro.query.cache.FactorCache` the
-        lineage registry is bounded either way: entries are pruned when
-        their parent's factors are evicted).
+        head delta-refresh the parent's cached factors; lineage is the only
+        way the planner refreshes.  Disable it to answer every new head
+        cold, or from an approximate policy such as
+        :class:`~repro.policy.qc.QCPolicy`, keeping no per-pair state.  With
+        a size-bounded :class:`~repro.query.cache.FactorCache` the lineage
+        registry is bounded either way: entries are pruned when their
+        parent's factors are evicted.
     history:
         How many recent per-request latency records to retain for
         :meth:`stats` percentiles.
@@ -180,11 +183,7 @@ class MeasureServer:
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-        executor: Union[Executor, int, None] = None,
-        cache: Optional[FactorCache] = None,
-        auto_refresh: bool = False,
         policy: Optional[object] = None,
-        result_cache: Union[ResultCache, int, None] = None,
         store: Optional[object] = None,
         register_lineage: bool = True,
         history: int = DEFAULT_HISTORY,
@@ -198,47 +197,21 @@ class MeasureServer:
             raise MeasureError(f"shards must be positive, got {shards}")
         self._owns_planner = False
         if planner is not None:
-            conflicting = (
-                executor is not None or cache is not None or auto_refresh
-                or policy is not None or result_cache is not None
-                or store is not None or shards != 1
-            )
-            if conflicting:
+            if policy is not None or store is not None or shards != 1:
                 raise MeasureError(
                     "pass either a planner or planner-construction arguments "
-                    "(executor/cache/auto_refresh/policy/result_cache/store/"
-                    "shards), not both"
+                    "(policy/store/shards), not both"
                 )
         elif shards > 1:
             # Sharded serving: admission windows fan out across a pool of
             # persistent worker processes; updates broadcast to every shard
-            # at batch boundaries in stream order.  Each worker runs its own
-            # serial planner, so a per-batch executor has no role here.
-            if executor is not None or cache is not None:
-                raise MeasureError(
-                    "shards>1 replicates planner state per worker process — "
-                    "per-batch executor/cache instances cannot be shared; "
-                    "configure auto_refresh/policy/result_cache/store instead"
-                )
+            # at batch boundaries in stream order.
             from repro.shard.planner import ShardedPlanner
 
-            planner = ShardedPlanner(
-                shards=shards,
-                auto_refresh=auto_refresh,
-                policy=policy,
-                result_cache=result_cache,
-                store=store,
-            )
+            planner = ShardedPlanner(shards=shards, policy=policy, store=store)
             self._owns_planner = True
         else:
-            planner = QueryPlanner(
-                executor=executor,
-                cache=cache,
-                auto_refresh=auto_refresh,
-                policy=policy,
-                result_cache=result_cache,
-                store=store,
-            )
+            planner = QueryPlanner(cache=FactorCache(store=store), policy=policy)
         self._planner = planner
         self._max_batch = int(max_batch)
         self._max_wait = float(max_wait_ms) / 1000.0

@@ -19,9 +19,9 @@ to what the serial planner would have produced:
   broadcast to every shard in stream order, so each shard sees the same
   FIFO update sequence the serial planner would.
 
-Dispatch is counted: ``tasks_dispatched`` / ``task_bytes_shipped`` /
-``member_bytes_shipped`` make "no CSR members cross the process
-boundary" a measurable invariant (the benchmark gates it at zero).
+Dispatch is counted (``tasks_dispatched`` / ``task_bytes_shipped``); a
+task message carries query descriptors and arena handles, never a
+snapshot, matrix or factor object.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.query.planner import (
     PlannerStats,
     QueryPlan,
     plan_batch,
+    validate_evolution,
 )
 from repro.query.batch import QueryBatch
 from repro.query.resolution import TIER_NAMES, ApproximationRecord
@@ -76,12 +77,12 @@ class ShardedPlanner:
     """A drop-in serving planner that shards factor ownership by digest.
 
     Parameters mirror :class:`~repro.query.planner.QueryPlanner` where
-    they make sense for replicated workers: ``policy`` / ``auto_refresh``
-    / ``result_cache`` configure every shard's planner identically;
-    ``store`` may be a :class:`~repro.store.factorstore.FactorStore` or a
-    directory path — shards share the one directory safely because
-    routing makes their key sets disjoint and files are digest-named and
-    atomically replaced.
+    they make sense for replicated workers: ``policy`` / ``result_cache``
+    configure every shard's planner identically, and refresh follows the
+    lineage broadcast by :meth:`register_evolution`; ``store`` may be a
+    :class:`~repro.store.factorstore.FactorStore` or a directory path —
+    shards share the one directory safely because routing makes their key
+    sets disjoint and files are digest-named and atomically replaced.
 
     ``result_cache`` accepts ``None`` / ``bool`` / ``int`` (an instance
     cannot be replicated across processes).
@@ -96,7 +97,6 @@ class ShardedPlanner:
         self,
         shards: int = 2,
         *,
-        auto_refresh: bool = False,
         policy=None,
         result_cache=None,
         store=None,
@@ -118,14 +118,8 @@ class ShardedPlanner:
         self._next_task = 0
         self.tasks_dispatched = 0
         self.task_bytes_shipped = 0
-        #: Serialized snapshot/factor member bytes crossing the process
-        #: boundary per task.  The design makes this identically zero —
-        #: members travel once through the shared-memory arena — and the
-        #: benchmark gates on it staying zero.
-        self.member_bytes_shipped = 0
 
         config = ShardConfig(
-            auto_refresh=auto_refresh,
             policy=policy,
             result_cache=result_cache,
             store_root=_store_root(store),
@@ -340,15 +334,7 @@ class ShardedPlanner:
         new_system: Optional[Hashable] = None,
     ) -> None:
         """Register lineage on every shard (same validation as serial)."""
-        if not isinstance(old, GraphSnapshot) or not isinstance(new, GraphSnapshot):
-            raise MeasureError(
-                "register_evolution takes two GraphSnapshots (the delta is "
-                "computed from their edge sets)"
-            )
-        if old.n != new.n:
-            raise MeasureError(
-                f"evolution must preserve the node count: {old.n} vs {new.n}"
-            )
+        validate_evolution(old, new)
         old_handle = self._handle_for(old)
         new_handle = self._handle_for(new)
         self._broadcast(
@@ -414,6 +400,5 @@ class ShardedPlanner:
         return {
             "tasks_dispatched": self.tasks_dispatched,
             "task_bytes_shipped": self.task_bytes_shipped,
-            "member_bytes_shipped": self.member_bytes_shipped,
             "segments_live": len(self._arena),
         }

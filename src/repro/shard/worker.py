@@ -22,6 +22,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import MeasureError
 from repro.graphs.snapshot import GraphSnapshot
+from repro.query.cache import FactorCache
 from repro.query.planner import QueryPlanner
 from repro.query.spec import Query
 from repro.shard.arena import SnapshotHandle, attach_snapshot
@@ -34,7 +35,6 @@ QueryDescriptor = Tuple[str, float, tuple, SnapshotHandle, Optional[Hashable]]
 class ShardConfig:
     """Picklable planner settings replicated into every shard worker."""
 
-    auto_refresh: bool = False
     policy: Optional[object] = None
     result_cache: Optional[object] = None
     store_root: Optional[str] = None
@@ -60,10 +60,9 @@ def _build_planner(config: ShardConfig) -> QueryPlanner:
 
         store = FactorStore(config.store_root)
     return QueryPlanner(
-        auto_refresh=config.auto_refresh,
+        cache=FactorCache(store=store),
         policy=config.policy,
         result_cache=config.result_cache,
-        store=store,
     )
 
 

@@ -130,8 +130,8 @@ def run_workload(store_dir: str) -> Dict[str, object]:
     transcript["corrected_seed"] = _run(corrected, all_measure_batch(snaps[0]))
     transcript["corrected_reuse"] = _run(corrected, all_measure_batch(snaps[1]))
 
-    # --- delta refresh: registered evolution, auto_refresh planner --------
-    refresher = QueryPlanner(auto_refresh=True)
+    # --- delta refresh: registered evolution ------------------------------
+    refresher = QueryPlanner()
     transcript["refresh_seed"] = _run(refresher, all_measure_batch(snaps[0]))
     refresher.register_evolution(snaps[0], snaps[1])
     transcript["refresh"] = _run(refresher, all_measure_batch(snaps[1]))
@@ -141,7 +141,7 @@ def run_workload(store_dir: str) -> Dict[str, object]:
     from repro.store import FactorStore
 
     store = FactorStore(store_dir)
-    writer = QueryPlanner(store=store)
+    writer = QueryPlanner(cache=FactorCache(store=store))
     transcript["store_seed"] = _run(writer, all_measure_batch(snaps[0]))
     writer.cache.checkpoint()
     warm = QueryPlanner(cache=FactorCache(store=store))

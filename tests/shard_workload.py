@@ -22,14 +22,16 @@ bitwise sharded == serial contract across all six tiers:
   a fresh planner over the same directory restores from disk.
 
 Factories only receive settings that replicate across worker processes
-(``auto_refresh`` / ``policy`` / ``result_cache`` / ``store`` as a
-directory path) — instance sharing like ``cache=`` is exactly what
-sharding replaces.
+(``policy`` / ``result_cache`` / ``store`` as a directory path) —
+instance sharing like ``cache=`` is exactly what sharding replaces; the
+serial factory attaches the store as ``cache=FactorCache(store=...)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import io
+import pickle
+from typing import Callable, Dict, Iterable, List
 
 from ladder_workload import (
     _digest,
@@ -39,9 +41,48 @@ from ladder_workload import (
     workload_snapshots,
 )
 
-from repro.query import QueryBatch, QueryPlanner
+from repro.graphs.snapshot import GraphSnapshot
+from repro.lu.factors import LUFactors
+from repro.query import FactorCache, QueryBatch, QueryPlanner
+from repro.sparse.csr import SparseMatrix
 
 PlannerFactory = Callable[..., object]
+
+#: Objects no shard task message may carry: snapshots and matrices travel
+#: once through the shared-memory arena, factors stay in their worker.
+MEMBER_TYPES = (GraphSnapshot, SparseMatrix, LUFactors)
+
+
+def record_dispatches(planner) -> List[tuple]:
+    """Collect every task message a ``ShardedPlanner`` dispatches from now on."""
+    messages: List[tuple] = []
+    dispatch = planner._dispatch
+
+    def recording(shard: int, message: tuple) -> int:
+        messages.append(message)
+        return dispatch(shard, message)
+
+    planner._dispatch = recording
+    return messages
+
+
+def member_objects(messages: Iterable[tuple]) -> List[str]:
+    """Type names of the snapshot, matrix or factor objects in ``messages``.
+
+    The messages are pickled the way the task queue ships them; the
+    pickler's ``persistent_id`` hook sees every object written, however
+    deeply nested.
+    """
+    found: List[str] = []
+
+    class _Walker(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, MEMBER_TYPES):
+                found.append(type(obj).__name__)
+            return None
+
+    _Walker(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(list(messages))
+    return found
 
 
 def serial_factory(**kwargs) -> QueryPlanner:
@@ -50,7 +91,7 @@ def serial_factory(**kwargs) -> QueryPlanner:
     if store_dir is not None:
         from repro.store import FactorStore
 
-        kwargs["store"] = FactorStore(store_dir)
+        kwargs["cache"] = FactorCache(store=FactorStore(store_dir))
     return QueryPlanner(**kwargs)
 
 
@@ -121,8 +162,8 @@ def run_workload(factory: PlannerFactory, store_dir: str) -> Dict[str, object]:
     finally:
         _close(planner)
 
-    # --- delta refresh: registered evolution, auto_refresh planner --------
-    planner = factory(auto_refresh=True)
+    # --- delta refresh: registered evolution ------------------------------
+    planner = factory()
     try:
         transcript["refresh_seed"] = _run(planner, all_measure_batch(snaps[0]))
         planner.register_evolution(snaps[0], snaps[1])

@@ -317,7 +317,7 @@ class TestDeltaCheckpoints:
         parent_key = SystemKey(parent_graph, kind, damping)
         child_key = SystemKey(child_graph, kind, damping)
         store = FactorStore(str(tmp_path / "delta"))
-        planner = QueryPlanner(store=store)
+        planner = QueryPlanner(cache=FactorCache(store=store))
         planner.run([make_query(spec.name, parent_graph, damping=damping)])
         planner.register_evolution(parent_graph, child_graph)
         outcome = planner.run([make_query(spec.name, child_graph, damping=damping)])
@@ -342,8 +342,11 @@ class TestDeltaCheckpoints:
         for step in range(3):
             graphs.append(evolve(graphs[-1], seed=10 + step))
         store = FactorStore(str(tmp_path))
-        planner = QueryPlanner(store=store, auto_refresh=True)
-        outcomes = [planner.run([make_query("pagerank", g)]) for g in graphs]
+        planner = QueryPlanner(cache=FactorCache(store=store))
+        outcomes = [planner.run([make_query("pagerank", graphs[0])])]
+        for parent, child in zip(graphs, graphs[1:]):
+            planner.register_evolution(parent, child)
+            outcomes.append(planner.run([make_query("pagerank", child)]))
         assert outcomes[0].stats.factorizations == 1
         assert all(o.stats.refreshes == 1 for o in outcomes[1:])
         assert planner.checkpoint() == len(graphs)
@@ -355,7 +358,7 @@ class TestDeltaCheckpoints:
             assert store.path_for(key).endswith(".delta")
         # Warm boot: every delta-checkpointed refresh product answers
         # bitwise, including the deepest link (three replays).
-        warm = QueryPlanner(store=FactorStore(str(tmp_path)))
+        warm = QueryPlanner(cache=FactorCache(store=FactorStore(str(tmp_path))))
         for graph, cold in zip(graphs, outcomes):
             replay = warm.run([make_query("pagerank", graph)])
             assert replay.stats.factorizations == 0
@@ -368,7 +371,7 @@ class TestDeltaCheckpoints:
         parent_key = SystemKey(parent_graph, MatrixKind.RANDOM_WALK, 0.85)
         child_key = SystemKey(child_graph, MatrixKind.RANDOM_WALK, 0.85)
         store = FactorStore(str(tmp_path))
-        planner = QueryPlanner(store=store)
+        planner = QueryPlanner(cache=FactorCache(store=store))
         planner.run([make_query("pagerank", parent_graph)])
         planner.register_evolution(parent_graph, child_graph)
         assert planner.run([make_query("pagerank", child_graph)]).stats.refreshes == 1
@@ -436,12 +439,6 @@ class TestCacheIntegration:
             FactorCache().checkpoint()
         with pytest.raises(MeasureError):
             QueryPlanner().checkpoint()
-
-    def test_planner_rejects_cache_and_store_together(self, tmp_path):
-        with pytest.raises(MeasureError):
-            QueryPlanner(
-                cache=FactorCache(), store=FactorStore(str(tmp_path))
-            )
 
     def test_clear_keeps_the_disk_tier(self, tmp_path):
         store = FactorStore(str(tmp_path))

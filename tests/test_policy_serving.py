@@ -146,7 +146,6 @@ class TestPolicyObjects:
             cache=planner.cache,
             policy=policy,
             executor=None,
-            auto_refresh=False,
             lineage={},
             snapshot_of=lambda key: key.system,
             scan=CandidateScan(),

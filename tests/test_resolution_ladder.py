@@ -92,7 +92,7 @@ class TestTierCounting:
         from repro.store import FactorStore
 
         store = FactorStore(str(tmp_path / "factors"))
-        writer = QueryPlanner(store=store)
+        writer = QueryPlanner(cache=FactorCache(store=store))
         writer.run(all_measure_batch(snap0))
         writer.cache.checkpoint()
         cache = FactorCache(store=store)
@@ -138,7 +138,7 @@ class TestTierCounting:
         from repro.store import FactorStore
 
         store = FactorStore(str(tmp_path / "factors"))
-        writer = QueryPlanner(store=store)
+        writer = QueryPlanner(cache=FactorCache(store=store))
         writer.run(all_measure_batch(snap0))
         writer.cache.checkpoint()
         warm = QueryPlanner(cache=FactorCache(store=store))

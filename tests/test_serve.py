@@ -163,7 +163,7 @@ class TestLifecycle:
         with pytest.raises(MeasureError):
             MeasureServer(max_wait_ms=-1.0)
         with pytest.raises(MeasureError):
-            MeasureServer(planner=QueryPlanner(), auto_refresh=True)
+            MeasureServer(planner=QueryPlanner(), policy=ExactPolicy())
         with MeasureServer() as server:
             with pytest.raises(MeasureError):
                 server.submit("not a query")

@@ -9,6 +9,8 @@ from repro.graphs.snapshot import GraphSnapshot
 from repro.query import QueryPlanner
 from repro.serve import MeasureServer
 
+from shard_workload import member_objects, record_dispatches
+
 
 def _snapshots():
     base = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9), (5, 11)]
@@ -45,14 +47,7 @@ def test_explicit_planner_conflicts_with_shards():
         MeasureServer(planner, shards=2)
 
 
-def test_sharded_server_rejects_instance_arguments():
-    from repro.exec import ParallelExecutor
-    from repro.query import FactorCache
-
-    with pytest.raises(MeasureError):
-        MeasureServer(shards=2, executor=ParallelExecutor(workers=2))
-    with pytest.raises(MeasureError):
-        MeasureServer(shards=2, cache=FactorCache())
+def test_sharded_server_rejects_nonpositive_shards():
     with pytest.raises(MeasureError):
         MeasureServer(shards=0)
 
@@ -62,17 +57,17 @@ def test_sharded_server_rejects_instance_arguments():
 # --------------------------------------------------------------------- #
 @pytest.mark.slow
 def test_sharded_server_answers_bitwise_equal_to_serial():
-    serial_server = MeasureServer(auto_refresh=True)
+    serial_server = MeasureServer()
     try:
         reference = _serve_stream(serial_server)
     finally:
         serial_server.close()
 
-    server = MeasureServer(shards=2, auto_refresh=True)
+    server = MeasureServer(shards=2)
     try:
+        messages = record_dispatches(server.planner)
         assert _serve_stream(server) == reference
-        info = server.planner.dispatch_info()
-        assert info["member_bytes_shipped"] == 0
+        assert messages and member_objects(messages) == []
         names = server.planner.arena.segment_names()
         assert len(names) == 2  # both snapshots shipped exactly once
     finally:
